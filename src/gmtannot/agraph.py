@@ -32,6 +32,7 @@ from .model import (
     StructNode,
     iter_items,
 )
+from .xml_io import _attr
 
 ARC_TYPE_ATTR = "att_1"
 ARC_PAYLOAD_ATTR = "att_2"
@@ -142,11 +143,6 @@ def parse_ag(text: str) -> AnnotationGraph:
     return AnnotationGraph(nodes, tuple(arcs))
 
 
-def _xattr(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    return f'"{value}"'
-
-
 def serialize_ag(graph: AnnotationGraph) -> str:
     """Write annotation-graph XML, one arc per line.
 
@@ -159,12 +155,12 @@ def serialize_ag(graph: AnnotationGraph) -> str:
         return "\n".join(lines) + "\n"
     lines.append("<annotation>")
     for arc in graph.arcs:
-        label = "".join(f" {name}={_xattr(value)}" for name, value in arc.attrs)
+        label = "".join(f" {name}={_attr(value)}" for name, value in arc.attrs)
         lines.append(
             "  <arc>"
-            f"<source id={_xattr(arc.source)} offset={_xattr(str(graph.nodes[arc.source]))}/>"
+            f"<source id={_attr(arc.source)} offset={_attr(str(graph.nodes[arc.source]))}/>"
             f"<label{label}/>"
-            f"<target id={_xattr(arc.target)} offset={_xattr(str(graph.nodes[arc.target]))}/>"
+            f"<target id={_attr(arc.target)} offset={_attr(str(graph.nodes[arc.target]))}/>"
             "</arc>"
         )
     lines.append("</annotation>")

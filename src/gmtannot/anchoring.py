@@ -181,7 +181,9 @@ def resolve_seg(
     looked up in the landmark table.  Identifier targets must resolve
     entirely within one context: the token index first, then each layer
     document in turn; token matches yield the covering span (min start,
-    max end), layer matches yield the target node list.
+    max end), layer matches yield the target node list.  Layer lookups go
+    through :func:`find_node`: one indexing walk per layer document, cached
+    because documents are immutable, then O(1) per target id.
     """
     addr = seg.addr
     if isinstance(addr, PositionalSpan):
@@ -206,14 +208,10 @@ def resolve_seg(
     for key, layer_doc in (layers or {}).items():
         if all(find_node(layer_doc, t) is not None for t in addr.ids):
             return ResolvedSpan(key, target_nodes=tuple(addr.ids))
-    missing = addr.ids[0]
-    for t in addr.ids:
-        if (tokens is None or t not in tokens) and not any(
-            find_node(d, t) is not None for d in (layers or {}).values()
-        ):
-            missing = t
-            break
-    raise UnresolvedTargetError(missing)
+    docs = (layers or {}).values()
+    missing = [t for t in addr.ids if (tokens is None or t not in tokens)
+               and all(find_node(d, t) is None for d in docs)]
+    raise UnresolvedTargetError(missing[0] if missing else addr.ids[0])
 
 
 def derived_extent(

@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 from .errors import MergeError
 from .model import (
+    CONFIDENCE_CAT,
     AltSet,
     Bracket,
     Bundle,
@@ -239,11 +240,11 @@ def _fold_group(
 
 def _fill_confidence(bundle: Bundle, fill: Decimal) -> Bundle:
     has_confidence = any(
-        isinstance(member, Feature) and member.cat == "confidence" for member in bundle
+        isinstance(member, Feature) and member.cat == CONFIDENCE_CAT for member in bundle
     )
     if has_confidence:
         return bundle
-    return bundle + (Feature(cat="confidence", text=str(fill)),)
+    return bundle + (Feature(cat=CONFIDENCE_CAT, text=str(fill)),)
 
 
 # ---------------------------------------------------------------------------

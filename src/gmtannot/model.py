@@ -365,11 +365,21 @@ def _check_bracket(brack: Bracket, path: str, out: _ReportBuilder) -> None:
 
 
 def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
-    """Return the node with the given id, or None."""
-    for _, node in doc.walk():
-        if node.id == node_id:
-            return node
-    return None
+    """Return the first node in :meth:`GmtDocument.walk` order with the given id, or None.
+
+    The first call indexes every node id with one walk and caches the index
+    on the document; documents are immutable, so it never goes stale, and
+    each later lookup costs O(1).
+    """
+    try:
+        index = doc._node_index  # type: ignore[attr-defined]
+    except AttributeError:
+        index = {}
+        for _, node in doc.walk():
+            index.setdefault(node.id, node)
+        # Not a dataclass field, so equality, hashing and repr ignore it.
+        object.__setattr__(doc, "_node_index", index)
+    return index.get(node_id)
 
 
 def collect_referenced_ids(doc: GmtDocument) -> set[str]:
@@ -430,21 +440,22 @@ def _parse_confidence(feat: Feature) -> Optional[Decimal]:
         value = Decimal(feat.text.strip())
     except InvalidOperation:
         return None
-    if value < 0 or value > 1:
+    if not value.is_finite() or value < 0 or value > 1:
         return None
     return value
 
 
 def bundle_confidence(bundle: Bundle) -> Decimal:
-    """The bundle's confidence; missing or unparseable values count as 0."""
+    """The bundle's confidence; missing, unparseable or non-finite values count as 0."""
     for member in bundle:
         if isinstance(member, Feature) and member.cat == CONFIDENCE_CAT:
             if member.text is None:
                 return Decimal(0)
             try:
-                return Decimal(member.text.strip())
+                value = Decimal(member.text.strip())
             except InvalidOperation:
                 return Decimal(0)
+            return value if value.is_finite() else Decimal(0)
     return Decimal(0)
 
 

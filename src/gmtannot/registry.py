@@ -172,7 +172,9 @@ def _parse_kind(value: str, lineno: int) -> ValueKind:
         try:
             lo, hi = Decimal(lo_raw), Decimal(hi_raw)
         except InvalidOperation:
-            raise RegistryError(f"range bounds {value[6:]!r} are not decimals", lineno) from None
+            lo = hi = Decimal("NaN")
+        if lo.is_nan() or hi.is_nan():
+            raise RegistryError(f"range bounds {value[6:]!r} are not decimals", lineno)
         if lo > hi:
             raise RegistryError("range lower bound exceeds upper bound", lineno)
         return DecimalRange(lo, hi)
@@ -296,6 +298,8 @@ def _check_value(feat: Feature, cat: CategoryDef, path: str) -> list[Finding]:
     try:
         value = Decimal(feat.text.strip())
     except InvalidOperation:
+        value = Decimal("NaN")
+    if value.is_nan():
         return [
             Finding(ERROR, "VALUE_NOT_DECIMAL", path, f"value {feat.text!r} is not a decimal for '{cat.name}'")
         ]

@@ -177,6 +177,66 @@ def test_resolve_unknown_target_names_the_id():
     assert exc.value.target == "9"
 
 
+def _layer(*ids: str) -> GmtDocument:
+    return GmtDocument.from_root(
+        StructNode(type="MSAnnot", children=tuple(StructNode(type="W-level", id=i) for i in ids))
+    )
+
+
+def test_resolve_layer_walks_each_layer_document_once(monkeypatch):
+    layer = _layer(*(f"n{i}" for i in range(100)))
+    walks: list[int] = []
+    real_walk = GmtDocument.walk
+
+    def counting_walk(self):
+        walks.append(id(self))
+        return real_walk(self)
+
+    monkeypatch.setattr(GmtDocument, "walk", counting_walk)
+    for i in range(50):
+        seg = SegmentRef(IdTargets((f"n{2 * i}", f"n{2 * i + 1}")))
+        span = resolve_seg(seg, layers={"words": layer})
+        assert span.target_nodes == (f"n{2 * i}", f"n{2 * i + 1}")
+    assert walks.count(id(layer)) <= 1
+
+
+def test_resolve_layer_first_layer_in_mapping_order_wins():
+    seg = SegmentRef(IdTargets(("a", "b")))
+    first, second = _layer("a", "b"), _layer("b", "a", "c")
+    assert resolve_seg(seg, layers={"one": first, "two": second}).layer == "one"
+    assert resolve_seg(seg, layers={"two": second, "one": first}).layer == "two"
+
+
+def test_resolve_layer_reaches_nodes_inside_alternatives():
+    doc, _ = parse_gmt(
+        '<struct type="MSAnnot">'
+        '<struct type="W-level" id="w1">'
+        '<alt><feat type="pos">NOUN</feat><struct type="morph" id="m1"/></alt>'
+        '<alt><feat type="pos">VERB</feat><struct type="morph" id="m2"/></alt>'
+        "</struct></struct>"
+    )
+    span = resolve_seg(SegmentRef(IdTargets(("m2", "w1", "m1"))), layers={"morph": doc})
+    assert span.layer == "morph"
+    assert span.target_nodes == ("m2", "w1", "m1")
+
+
+def test_resolve_targets_split_across_layers_names_the_first_id():
+    layers = {"one": _layer("a"), "two": _layer("b")}
+    with pytest.raises(UnresolvedTargetError) as exc:
+        resolve_seg(SegmentRef(IdTargets(("b", "a"))), layers=layers)
+    assert exc.value.target == "b"
+
+
+def test_resolve_unresolved_names_first_id_found_nowhere():
+    index = tokenize_whitespace(SENTENCE)
+    layers = {"one": _layer("a"), "two": _layer("b")}
+    with pytest.raises(UnresolvedTargetError) as exc:
+        resolve_seg(
+            SegmentRef(IdTargets(("w1", "b", "zz", "a", "yy"))), tokens=index, layers=layers
+        )
+    assert exc.value.target == "zz"
+
+
 # ---------------------------------------------------------------------------
 # derived_extent
 

@@ -237,6 +237,18 @@ def test_merge_mixed_doc_types(tmp_path, capsys):
     assert "mixed document types" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "sNaN"])
+@pytest.mark.parametrize("command", ["validate", "merge"])
+def test_non_finite_confidence_exits_cleanly(tmp_path, capsys, value, command):
+    doc = tmp_path / "doc.xml"
+    doc.write_text(load_fixture("msannot_alternatives_bouche.xml").replace("0.4", value))
+    argv = ["validate", str(doc)]
+    if command == "merge":
+        argv = ["merge", str(doc), str(doc), "-o", str(tmp_path / "out.xml"), "--policy", "fold-alt"]
+    assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diff
 

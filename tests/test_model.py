@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from decimal import Decimal
 
@@ -22,8 +23,10 @@ from gmtannot import (
     find_node,
     parse_gmt,
     select_preferred_alternative,
+    serialize_gmt,
     validate_structure,
 )
+from gmtannot.model import bundle_confidence
 from conftest import load_fixture
 from randgen import DocBuilder, random_document
 
@@ -178,6 +181,30 @@ def test_find_node_agrees_with_preorder_scan():
         assert find_node(doc, node_id) == scan(doc.root, node_id)
 
 
+def test_find_node_returns_first_of_duplicate_ids():
+    nested = StructNode(type="morph", id="x", items=(Feature(cat="pos", text="NOUN"),))
+    later = StructNode(type="W-level", id="x")
+    alts = AltSet(((nested,), (Feature(cat="pos", text="VERB"),)))
+    doc = GmtDocument.from_root(
+        StructNode(type="MSAnnot", children=(StructNode(items=(alts,)), later))
+    )
+    assert find_node(doc, "x") is nested
+
+
+def test_find_node_index_is_invisible_to_equality_hash_and_pickle():
+    text = load_fixture("morph_le_chat.xml")
+    doc, _ = parse_gmt(text)
+    fresh, _ = parse_gmt(text)
+    assert find_node(doc, "w4") is not None
+    assert doc == fresh
+    assert hash(doc) == hash(fresh)
+    assert repr(doc) == repr(fresh)
+    restored = pickle.loads(pickle.dumps(doc))
+    assert restored == fresh
+    assert find_node(restored, "w4") == find_node(fresh, "w4")
+    assert parse_gmt(serialize_gmt(doc))[0] == doc
+
+
 # ---------------------------------------------------------------------------
 # collect_referenced_ids
 
@@ -307,3 +334,14 @@ def test_select_invariant_under_positive_scaling(scale):
         )
         scaled_chosen = select_preferred_alternative(scaled)
         assert alts.alternatives.index(chosen) == scaled.alternatives.index(scaled_chosen)
+
+
+@pytest.mark.parametrize("text", ["NaN", "sNaN", "Infinity", "-Infinity"])
+def test_non_finite_confidence_is_bad_and_counts_as_zero(text):
+    bad = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", text=text))
+    good = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.1"))
+    node = StructNode(type="W-level", items=(AltSet((bad, good)),))
+    codes = [f.code for f in validate_structure(GmtDocument.from_root(node)).findings]
+    assert codes == ["BAD_CONFIDENCE"]
+    assert bundle_confidence(bad) == 0
+    assert select_preferred_alternative(AltSet((bad, good))) == good

@@ -71,6 +71,8 @@ def test_load_errors_carry_line_numbers():
         load_registry("a kind=set:\n")
     with pytest.raises(RegistryError, match="line 1"):
         load_registry("a kind=range:5..1\n")
+    with pytest.raises(RegistryError, match="line 1"):
+        load_registry("a kind=range:NaN..1\n")
     with pytest.raises(RegistryError, match="line 2"):
         load_registry("a kind=open alias=x\nb kind=open alias=x\n")
 
@@ -164,6 +166,13 @@ def test_confidence_out_of_range():
 
 def test_confidence_not_decimal():
     doc = GmtDocument.from_root(StructNode(items=(Feature(cat="confidence", text="high"),)))
+    report = validate_categories(doc, default_registry())
+    assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
+
+
+@pytest.mark.parametrize("text", ["NaN", "sNaN", "-nan"])
+def test_confidence_nan_is_not_decimal(text):
+    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="confidence", text=text),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
 
