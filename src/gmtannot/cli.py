@@ -37,7 +37,12 @@ def _err(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; undecodable bytes become an OSError naming the file,
+    which every command reports like any other unreadable input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_document(path: str) -> GmtDocument:

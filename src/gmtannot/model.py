@@ -136,28 +136,85 @@ class GmtDocument:
         """Yield ``(path, node)`` for every node in document order.
 
         Nodes nested inside alternative bundles are included, so the walk
-        covers every node that can carry an id.
+        covers every node that can carry an id.  This is the node-only view
+        of :func:`walk_elements`; each path is rendered from its nearest
+        node ancestor's, so the cost stays linear in the paths' length.
         """
-        for i, root in enumerate(self.roots):
-            yield from _walk_node(f"/struct[{i + 1}]", root)
+        # (path, rendered path) of the node and its open node ancestors.
+        rendered: list[tuple[Optional[ElementPath], str]] = [(None, "")]
+        for path, _, element in walk_elements(self):
+            if isinstance(element, StructNode):
+                up, suffix = path[0], f"/struct[{path[2]}]"
+                while up is not None and up[1] != "struct":
+                    up, tag, position = up
+                    suffix = f"/{tag}[{position}]{suffix}"
+                while rendered[-1][0] is not up:
+                    rendered.pop()
+                text = rendered[-1][1] + suffix
+                rendered.append((path, text))
+                yield text, element
 
 
-def _walk_node(path: str, node: StructNode) -> Iterator[tuple[str, StructNode]]:
-    yield path, node
-    alt_pos = 0
-    for item in node.items:
-        if isinstance(item, AltSet):
-            for bundle in item.alternatives:
-                alt_pos += 1
-                struct_pos = 0
-                for member in bundle:
-                    if isinstance(member, StructNode):
-                        struct_pos += 1
-                        yield from _walk_node(
-                            f"{path}/alt[{alt_pos}]/struct[{struct_pos}]", member
-                        )
-    for j, child in enumerate(node.children):
-        yield from _walk_node(f"{path}/struct[{j + 1}]", child)
+#: An element's address as a linked ``(parent, tag, position)`` tuple; the
+#: parent of a root node is None.  :func:`render_path` spells it out.
+ElementPath = tuple
+#: The model value an element sits in: a node, bracket, alternative set
+#: (for bundle members) or feature (for nested features); None for a root.
+Owner = Union[None, StructNode, Bracket, AltSet, Feature]
+Element = Union[StructNode, NodeItem]
+
+
+def walk_elements(doc: GmtDocument) -> Iterator[tuple[ElementPath, Owner, Element]]:
+    """Yield ``(path, owner, element)`` for every element in document order.
+
+    Elements are nodes, items, alternative-bundle members, bracket members
+    and nested features, in the order :func:`~gmtannot.xml_io.serialize_gmt`
+    writes them.  Positions count per tag within the owner.  An alternative
+    set takes the position of its first ``<alt>`` and advances ``alt`` by
+    its bundle count; each bundle's members sit under their own ``<alt>``.
+    The walk keeps an explicit stack, so nesting depth is bounded by memory
+    only.
+    """
+    # One frame per open owner: its members still to visit, its path, the
+    # owner itself and the per-tag counts so far.
+    stack: list[tuple[Iterator, Optional[ElementPath], Owner, dict[str, int]]] = [
+        (iter(doc.roots), None, None, {})
+    ]
+    while stack:
+        members, parent, owner, counts = stack[-1]
+        for member in members:
+            tag = _TAGS[type(member)]
+            position = counts.get(tag, 0) + 1
+            counts[tag] = position + len(member.alternatives) - 1 if tag == "alt" else position
+            path = (parent, tag, position)
+            yield path, owner, member
+            if tag == "alt":
+                for k in range(len(member.alternatives) - 1, -1, -1):
+                    stack.append((iter(member.alternatives[k]), (parent, "alt", position + k), member, {}))
+                break
+            inner = (
+                member.items + member.children if tag == "struct"
+                else member.nested if tag == "feat"
+                else member.members if tag == "brack"
+                else None
+            )
+            if inner:
+                stack.append((iter(inner), path, member, {}))
+                break
+        else:
+            stack.pop()
+
+
+_TAGS = {StructNode: "struct", Feature: "feat", Relation: "rel", SegmentRef: "seg", Bracket: "brack", AltSet: "alt"}
+
+
+def render_path(path: ElementPath) -> str:
+    """The XPath-like string form of a path, such as ``/struct[1]/alt[2]/feat[1]``."""
+    parts = []
+    while path is not None:
+        path, tag, position = path
+        parts.append(f"/{tag}[{position}]")
+    return "".join(reversed(parts))
 
 
 def iter_items(node: StructNode) -> Iterator[NodeItem]:
@@ -210,8 +267,8 @@ class _ReportBuilder:
     def __init__(self) -> None:
         self.findings: list[Finding] = []
 
-    def add(self, severity: str, code: str, path: str, message: str) -> None:
-        self.findings.append(Finding(severity, code, path, message))
+    def add(self, severity: str, code: str, path: ElementPath, message: str) -> None:
+        self.findings.append(Finding(severity, code, render_path(path), message))
 
     def done(self) -> ValidationReport:
         return ValidationReport(tuple(self.findings))
@@ -229,95 +286,57 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
         out.add(
             WARNING,
             "DOCTYPE_MISMATCH",
-            "/struct[1]",
+            (None, "struct", 1),
             f"document type '{doc.doc_type}' differs from root type '{doc.roots[0].type}'",
         )
     seen_ids: set[str] = set()
-    for path, node in doc.walk():
-        if node.id is not None:
-            if node.id == "":
+    for path, owner, element in walk_elements(doc):
+        if isinstance(element, Feature):
+            # An empty nested tuple carries no value either; refusing it here
+            # keeps serialization round-trippable.
+            populated = (element.text is not None) + bool(element.nested) + (element.target is not None)
+            if populated == 0:
+                out.add(ERROR, "FEATURE_NO_VALUE", path, f"feature '{element.cat}' carries no value")
+            elif populated > 1:
+                out.add(
+                    ERROR,
+                    "FEATURE_MULTIPLE_VALUES",
+                    path,
+                    f"feature '{element.cat}' carries more than one value form",
+                )
+            if isinstance(owner, AltSet) and element.cat == CONFIDENCE_CAT:
+                value = _finite_decimal(element.text)
+                if value is None or not 0 <= value <= 1:
+                    out.add(
+                        ERROR,
+                        "BAD_CONFIDENCE",
+                        path,
+                        f"confidence value {element.text!r} is not a decimal in [0, 1]",
+                    )
+        elif isinstance(element, StructNode):
+            if element.id == "":
                 out.add(ERROR, "EMPTY_ID", path, "node id must be non-empty")
-            elif node.id in seen_ids:
-                out.add(ERROR, "DUPLICATE_ID", path, f"duplicate node id '{node.id}'")
-            else:
-                seen_ids.add(node.id)
-        _check_items(node, path, out)
-    return out.done()
-
-
-def _check_items(node: StructNode, path: str, out: _ReportBuilder) -> None:
-    counts: dict[str, int] = {}
-
-    def tag_path(tag: str) -> str:
-        counts[tag] = counts.get(tag, 0) + 1
-        return f"{path}/{tag}[{counts[tag]}]"
-
-    alt_pos = 0
-    for item in node.items:
-        if isinstance(item, Feature):
-            _check_feature(item, tag_path("feat"), out)
-        elif isinstance(item, AltSet):
-            if len(item.alternatives) < 2:
+            elif element.id in seen_ids:
+                out.add(ERROR, "DUPLICATE_ID", path, f"duplicate node id '{element.id}'")
+            elif element.id is not None:
+                seen_ids.add(element.id)
+        elif isinstance(element, AltSet):
+            if len(element.alternatives) < 2:
                 out.add(
                     ERROR,
                     "SINGLETON_ALT",
-                    f"{path}/alt[{alt_pos + 1}]",
-                    f"alternative set has {len(item.alternatives)} alternative(s), needs at least 2",
+                    path,
+                    f"alternative set has {len(element.alternatives)} alternative(s), needs at least 2",
                 )
-            for bundle in item.alternatives:
-                alt_pos += 1
-                counts["alt"] = alt_pos
-                _check_bundle(bundle, f"{path}/alt[{alt_pos}]", out)
-        elif isinstance(item, Relation):
-            if not item.target:
-                out.add(ERROR, "EMPTY_TARGET", tag_path("rel"), "relation target must be non-empty")
-            else:
-                tag_path("rel")
-        elif isinstance(item, SegmentRef):
-            _check_seg(item, tag_path("seg"), out)
-        elif isinstance(item, Bracket):
-            _check_bracket(item, tag_path("brack"), out)
+        elif isinstance(element, Relation):
+            if not element.target:
+                out.add(ERROR, "EMPTY_TARGET", path, "relation target must be non-empty")
+        elif isinstance(element, SegmentRef):
+            _check_seg(element, path, out)
+    return out.done()
 
 
-def _check_feature(feat: Feature, path: str, out: _ReportBuilder) -> None:
-    # An empty nested tuple carries no value either; refusing it here keeps
-    # serialization round-trippable.
-    populated = sum(v is not None for v in (feat.text, feat.nested or None, feat.target))
-    if populated == 0:
-        out.add(ERROR, "FEATURE_NO_VALUE", path, f"feature '{feat.cat}' carries no value")
-    elif populated > 1:
-        out.add(
-            ERROR,
-            "FEATURE_MULTIPLE_VALUES",
-            path,
-            f"feature '{feat.cat}' carries more than one value form",
-        )
-    counts = 0
-    for sub in feat.nested or ():
-        counts += 1
-        _check_feature(sub, f"{path}/feat[{counts}]", out)
-
-
-def _check_bundle(bundle: Bundle, path: str, out: _ReportBuilder) -> None:
-    counts: dict[str, int] = {}
-    for member in bundle:
-        tag = "feat" if isinstance(member, Feature) else "struct"
-        counts[tag] = counts.get(tag, 0) + 1
-        member_path = f"{path}/{tag}[{counts[tag]}]"
-        if isinstance(member, Feature):
-            _check_feature(member, member_path, out)
-            if member.cat == CONFIDENCE_CAT and _parse_confidence(member) is None:
-                out.add(
-                    ERROR,
-                    "BAD_CONFIDENCE",
-                    member_path,
-                    f"confidence value {member.text!r} is not a decimal in [0, 1]",
-                )
-        else:
-            _check_items(member, member_path, out)
-
-
-def _check_seg(seg: SegmentRef, path: str, out: _ReportBuilder) -> None:
+def _check_seg(seg: SegmentRef, path: ElementPath, out: _ReportBuilder) -> None:
     addr = seg.addr
     if isinstance(addr, IdTargets):
         if not addr.ids:
@@ -332,36 +351,6 @@ def _check_seg(seg: SegmentRef, path: str, out: _ReportBuilder) -> None:
             out.add(ERROR, "NEGATIVE_OFFSET", path, f"offsets must be non-negative, got {addr.start}..{addr.end}")
         elif addr.start > addr.end:
             out.add(ERROR, "INVERTED_SPAN", path, f"span starts at {addr.start} after its end {addr.end}")
-
-
-def _check_bracket(brack: Bracket, path: str, out: _ReportBuilder) -> None:
-    counts: dict[str, int] = {}
-    alt_pos = 0
-    for member in brack.members:
-        if isinstance(member, Feature):
-            counts["feat"] = counts.get("feat", 0) + 1
-            _check_feature(member, f"{path}/feat[{counts['feat']}]", out)
-        elif isinstance(member, AltSet):
-            if len(member.alternatives) < 2:
-                out.add(
-                    ERROR,
-                    "SINGLETON_ALT",
-                    f"{path}/alt[{alt_pos + 1}]",
-                    f"alternative set has {len(member.alternatives)} alternative(s), needs at least 2",
-                )
-            for bundle in member.alternatives:
-                alt_pos += 1
-                _check_bundle(bundle, f"{path}/alt[{alt_pos}]", out)
-        elif isinstance(member, Relation):
-            counts["rel"] = counts.get("rel", 0) + 1
-            if not member.target:
-                out.add(ERROR, "EMPTY_TARGET", f"{path}/rel[{counts['rel']}]", "relation target must be non-empty")
-        elif isinstance(member, SegmentRef):
-            counts["seg"] = counts.get("seg", 0) + 1
-            _check_seg(member, f"{path}/seg[{counts['seg']}]", out)
-        elif isinstance(member, Bracket):
-            counts["brack"] = counts.get("brack", 0) + 1
-            _check_bracket(member, f"{path}/brack[{counts['brack']}]", out)
 
 
 def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
@@ -389,73 +378,42 @@ def collect_referenced_ids(doc: GmtDocument) -> set[str]:
     feature targets and node ``ref`` attributes.
     """
     refs: set[str] = set()
-
-    def from_feature(feat: Feature) -> None:
-        if feat.target is not None:
-            refs.add(feat.target)
-        for sub in feat.nested or ():
-            from_feature(sub)
-
-    def from_item(item: NodeItem) -> None:
-        if isinstance(item, Feature):
-            from_feature(item)
-        elif isinstance(item, AltSet):
-            for bundle in item.alternatives:
-                for member in bundle:
-                    if isinstance(member, Feature):
-                        from_feature(member)
-                    else:
-                        from_node(member)
-        elif isinstance(item, Relation):
-            refs.add(item.target)
-        elif isinstance(item, SegmentRef):
-            addr = item.addr
+    for _, _, element in walk_elements(doc):
+        if isinstance(element, StructNode):
+            if element.ref is not None:
+                refs.add(element.ref)
+        elif isinstance(element, Feature):
+            if element.target is not None:
+                refs.add(element.target)
+        elif isinstance(element, Relation):
+            refs.add(element.target)
+        elif isinstance(element, SegmentRef):
+            addr = element.addr
             if isinstance(addr, IdTargets):
                 refs.update(addr.ids)
             elif isinstance(addr, LandmarkEndpoints):
                 refs.add(addr.start)
                 refs.add(addr.end)
-        elif isinstance(item, Bracket):
-            for member in item.members:
-                from_item(member)
-
-    def from_node(node: StructNode) -> None:
-        if node.ref is not None:
-            refs.add(node.ref)
-        for item in node.items:
-            from_item(item)
-        for child in node.children:
-            from_node(child)
-
-    for root in doc.roots:
-        from_node(root)
     return refs
 
 
-def _parse_confidence(feat: Feature) -> Optional[Decimal]:
-    """Decimal in [0, 1] from a confidence feature, or None."""
-    if feat.text is None:
+def _finite_decimal(text: Optional[str]) -> Optional[Decimal]:
+    """The finite decimal spelled by ``text`` (surrounding blanks ignored), or None."""
+    if text is None:
         return None
     try:
-        value = Decimal(feat.text.strip())
+        value = Decimal(text.strip())
     except InvalidOperation:
         return None
-    if not value.is_finite() or value < 0 or value > 1:
-        return None
-    return value
+    return value if value.is_finite() else None
 
 
 def bundle_confidence(bundle: Bundle) -> Decimal:
     """The bundle's confidence; missing, unparseable or non-finite values count as 0."""
     for member in bundle:
         if isinstance(member, Feature) and member.cat == CONFIDENCE_CAT:
-            if member.text is None:
-                return Decimal(0)
-            try:
-                value = Decimal(member.text.strip())
-            except InvalidOperation:
-                return Decimal(0)
-            return value if value.is_finite() else Decimal(0)
+            value = _finite_decimal(member.text)
+            return Decimal(0) if value is None else value
     return Decimal(0)
 
 

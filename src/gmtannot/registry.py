@@ -19,17 +19,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from .errors import RegistryError
-from .model import (
-    ERROR,
-    AltSet,
-    Bracket,
-    Feature,
-    Finding,
-    GmtDocument,
-    NodeItem,
-    StructNode,
-    ValidationReport,
-)
+from .model import ERROR, Feature, Finding, GmtDocument, ValidationReport, render_path, walk_elements
 
 
 @dataclass(frozen=True)
@@ -215,101 +205,48 @@ def validate_categories(doc: GmtDocument, registry: Registry) -> ValidationRepor
     not checked.
     """
     findings: list[Finding] = []
-
-    def check_feature(feat: Feature, path: str) -> None:
-        cat = registry.resolve(feat.cat)
-        if cat is None:
-            findings.append(
-                Finding(ERROR, "UNKNOWN_CATEGORY", path, f"category '{feat.cat}' is not in the registry")
-            )
-        else:
-            findings.extend(_check_value(feat, cat, path))
-        count = 0
-        for sub in feat.nested or ():
-            count += 1
-            check_feature(sub, f"{path}/feat[{count}]")
-
-    def check_items(items: tuple[NodeItem, ...], path: str) -> None:
-        counts: dict[str, int] = {}
-        alt_pos = 0
-        for item in items:
-            if isinstance(item, Feature):
-                counts["feat"] = counts.get("feat", 0) + 1
-                check_feature(item, f"{path}/feat[{counts['feat']}]")
-            elif isinstance(item, AltSet):
-                for bundle in item.alternatives:
-                    alt_pos += 1
-                    feat_pos = 0
-                    for member in bundle:
-                        if isinstance(member, Feature):
-                            feat_pos += 1
-                            check_feature(member, f"{path}/alt[{alt_pos}]/feat[{feat_pos}]")
-                        else:
-                            check_node(member, f"{path}/alt[{alt_pos}]")
-            elif isinstance(item, Bracket):
-                counts["brack"] = counts.get("brack", 0) + 1
-                check_items(item.members, f"{path}/brack[{counts['brack']}]")
-
-    def check_node(node: StructNode, path: str) -> None:
-        check_items(node.items, path)
-        for j, child in enumerate(node.children):
-            check_node(child, f"{path}/struct[{j + 1}]")
-
-    for i, root in enumerate(doc.roots):
-        check_node(root, f"/struct[{i + 1}]")
+    for path, _, element in walk_elements(doc):
+        if isinstance(element, Feature):
+            problem = _check_feature(element, registry)
+            if problem is not None:
+                code, message = problem
+                findings.append(Finding(ERROR, code, render_path(path), message))
     return ValidationReport(tuple(findings))
 
 
-def _check_value(feat: Feature, cat: CategoryDef, path: str) -> list[Finding]:
+def _check_feature(feat: Feature, registry: Registry) -> Optional[tuple[str, str]]:
+    """``(code, message)`` when the feature's category is unknown or its value violates the kind."""
+    cat = registry.resolve(feat.cat)
+    if cat is None:
+        return ("UNKNOWN_CATEGORY", f"category '{feat.cat}' is not in the registry")
     kind = cat.kind
     if isinstance(kind, OpenText):
-        return []
+        return None
     if isinstance(kind, Reference):
         if feat.target is None:
-            return [
-                Finding(
-                    ERROR,
-                    "VALUE_KIND_MISMATCH",
-                    path,
-                    f"category '{cat.name}' takes its value by reference; expected a target",
-                )
-            ]
-        return []
-    if feat.text is None:
-        return [
-            Finding(
-                ERROR,
+            return (
                 "VALUE_KIND_MISMATCH",
-                path,
-                f"category '{cat.name}' expects a literal value",
+                f"category '{cat.name}' takes its value by reference; expected a target",
             )
-        ]
+        return None
+    if feat.text is None:
+        return ("VALUE_KIND_MISMATCH", f"category '{cat.name}' expects a literal value")
     if isinstance(kind, ClosedSet):
         if feat.text not in kind.values:
-            return [
-                Finding(
-                    ERROR,
-                    "VALUE_NOT_IN_SET",
-                    path,
-                    f"value {feat.text!r} is not one of {{{', '.join(kind.values)}}} for '{cat.name}'",
-                )
-            ]
-        return []
+            return (
+                "VALUE_NOT_IN_SET",
+                f"value {feat.text!r} is not one of {{{', '.join(kind.values)}}} for '{cat.name}'",
+            )
+        return None
     try:
         value = Decimal(feat.text.strip())
     except InvalidOperation:
         value = Decimal("NaN")
     if value.is_nan():
-        return [
-            Finding(ERROR, "VALUE_NOT_DECIMAL", path, f"value {feat.text!r} is not a decimal for '{cat.name}'")
-        ]
+        return ("VALUE_NOT_DECIMAL", f"value {feat.text!r} is not a decimal for '{cat.name}'")
     if value < kind.lo or value > kind.hi:
-        return [
-            Finding(
-                ERROR,
-                "VALUE_OUT_OF_RANGE",
-                path,
-                f"value {feat.text} is outside [{kind.lo}, {kind.hi}] for '{cat.name}'",
-            )
-        ]
-    return []
+        return (
+            "VALUE_OUT_OF_RANGE",
+            f"value {feat.text} is outside [{kind.lo}, {kind.hi}] for '{cat.name}'",
+        )
+    return None

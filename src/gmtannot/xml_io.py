@@ -32,7 +32,7 @@ or trailing whitespace (the parser trims them) for the round-trip
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 from xml.parsers import expat
 
 from .errors import GmtParseError, GmtSerializeError
@@ -454,7 +454,7 @@ def serialize_gmt(doc: GmtDocument) -> str:
     if len(doc.roots) != 1:
         raise GmtSerializeError(f"GMT XML carries exactly one root element, document has {len(doc.roots)}")
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    _write_struct(doc.roots[0], 0, lines)
+    _write_struct(doc.roots[0], lines)
     return "\n".join(lines) + "\n"
 
 
@@ -469,63 +469,55 @@ def _struct_attrs(node: StructNode) -> str:
     return (" " + " ".join(parts)) if parts else ""
 
 
-def _write_struct(node: StructNode, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    attrs = _struct_attrs(node)
-    if not node.items and not node.children:
-        lines.append(f"{pad}<struct{attrs}/>")
-        return
-    lines.append(f"{pad}<struct{attrs}>")
-    for item in node.items:
-        _write_item(item, depth + 1, lines)
-    for child in node.children:
-        _write_struct(child, depth + 1, lines)
-    lines.append(f"{pad}</struct>")
+def _write_struct(root: StructNode, lines: list[str]) -> None:
+    """Append the element lines of ``root``'s subtree, in document order.
 
-
-def _write_item(item: NodeItem, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    if isinstance(item, Feature):
-        _write_feature(item, depth, lines)
-    elif isinstance(item, AltSet):
-        for bundle in item.alternatives:
-            if bundle:
-                lines.append(f"{pad}<alt>")
-                for member in bundle:
-                    if isinstance(member, Feature):
-                        _write_feature(member, depth + 1, lines)
-                    else:
-                        _write_struct(member, depth + 1, lines)
-                lines.append(f"{pad}</alt>")
+    Leaf elements are written as they are met; each open element keeps a
+    frame on an explicit stack, so nesting depth is bounded by memory only.
+    """
+    # A frame: the values still to write, their indentation, and the
+    # closing line of the element holding them (None for an alternative
+    # set, whose bundles are the elements).
+    stack: list[tuple[Iterator, str, Optional[str]]] = [(iter((root,)), "", None)]
+    while stack:
+        values, pad, closing = stack[-1]
+        for value in values:
+            if isinstance(value, Feature):
+                if value.target is not None:
+                    lines.append(f"{pad}<feat type={_attr(value.cat)} target={_attr('#' + value.target)}/>")
+                    continue
+                if value.nested is None:
+                    text = value.text if value.text is not None else ""
+                    lines.append(f"{pad}<feat type={_attr(value.cat)}>{_content(text)}</feat>")
+                    continue
+                tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
+            elif isinstance(value, StructNode):
+                tag, attrs, content = "struct", _struct_attrs(value), value.items + value.children
+            elif isinstance(value, SegmentRef):
+                _write_seg(value, pad, lines)
+                continue
+            elif isinstance(value, AltSet):
+                stack.append((iter(value.alternatives), pad, None))
+                break
+            elif isinstance(value, tuple):  # one bundle of an alternative set
+                tag, attrs, content = "alt", "", value
+            elif isinstance(value, Relation):
+                type_part = f" type={_attr(value.rel_type)}" if value.rel_type is not None else ""
+                lines.append(f"{pad}<rel{type_part} target={_attr('#' + value.target)}/>")
+                continue
             else:
-                lines.append(f"{pad}<alt/>")
-    elif isinstance(item, Relation):
-        type_part = f" type={_attr(item.rel_type)}" if item.rel_type is not None else ""
-        lines.append(f"{pad}<rel{type_part} target={_attr('#' + item.target)}/>")
-    elif isinstance(item, SegmentRef):
-        _write_seg(item, pad, lines)
-    elif isinstance(item, Bracket):
-        if item.members:
-            lines.append(f"{pad}<brack>")
-            for member in item.members:
-                _write_item(member, depth + 1, lines)
-            lines.append(f"{pad}</brack>")
+                tag, attrs, content = "brack", "", value.members
+            # An empty nested tuple still gets a <feat> open/close pair.
+            if not content and tag != "feat":
+                lines.append(f"{pad}<{tag}{attrs}/>")
+                continue
+            lines.append(f"{pad}<{tag}{attrs}>")
+            stack.append((iter(content), pad + "  ", f"{pad}</{tag}>"))
+            break
         else:
-            lines.append(f"{pad}<brack/>")
-
-
-def _write_feature(feat: Feature, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    if feat.target is not None:
-        lines.append(f"{pad}<feat type={_attr(feat.cat)} target={_attr('#' + feat.target)}/>")
-    elif feat.nested is not None:
-        lines.append(f"{pad}<feat type={_attr(feat.cat)}>")
-        for sub in feat.nested:
-            _write_feature(sub, depth + 1, lines)
-        lines.append(f"{pad}</feat>")
-    else:
-        value = feat.text if feat.text is not None else ""
-        lines.append(f"{pad}<feat type={_attr(feat.cat)}>{_content(value)}</feat>")
+            stack.pop()
+            if closing is not None:
+                lines.append(closing)
 
 
 def _write_seg(seg: SegmentRef, pad: str, lines: list[str]) -> None:

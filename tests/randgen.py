@@ -246,3 +246,24 @@ def random_anchored_tree(rng: random.Random, builder: DocBuilder, landmark_ids: 
             for _ in range(rng.randint(1, 3))
         )
     return StructNode(type="span", id=builder.fresh_id(), items=tuple(items), children=children)
+
+
+def deep_chain_text(depth: int, indent: bool = True) -> str:
+    """A ``<struct>`` chain ``depth`` + 1 levels deep, in canonical form when indented.
+
+    The outermost node relates to the innermost one, which carries a
+    registry-valid feature and a positional segment, so the chain is valid
+    and resolvable without any context.
+    """
+    def pad(level: int) -> str:
+        return "  " * level if indent else ""
+
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<struct type="chain">', pad(1) + '<rel target="#leaf"/>']
+    lines += [pad(level) + '<struct type="chain">' for level in range(1, depth)]
+    lines += [
+        pad(depth) + '<struct type="chain" id="leaf">',
+        pad(depth + 1) + '<feat type="pos">NOUN</feat>',
+        pad(depth + 1) + '<seg startsAt="0" endsAt="1"/>',
+    ]
+    lines += [pad(level) + "</struct>" for level in range(depth, -1, -1)]
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,10 +12,24 @@ import pytest
 from gmtannot import canonicalize_ag, parse_ag, parse_gmt, serialize_gmt
 from gmtannot.cli import main
 from conftest import FIXTURES, load_fixture
+from randgen import deep_chain_text
 
 SENTENCE_XML = str(FIXTURES / "msannot_sentence.xml")
 TOKENS = str(FIXTURES / "msannot_sentence.tokens")
 AG_XML = str(FIXTURES / "annotation_graph.xml")
+SRC = FIXTURES.parent / "src"
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m gmtannot`` on the source tree in a child process."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "gmtannot", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +319,63 @@ def test_outputs_are_byte_stable(argv, capsys):
     second = capsys.readouterr()
     assert first_code == second_code
     assert first.out == second.out
+
+
+# ---------------------------------------------------------------------------
+# input that is not UTF-8, deep nesting, and ``python -m gmtannot``
+
+NOT_UTF8 = b"\xff\xfe<\x00s\x00t\x00"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["validate", SENTENCE_XML, "--registry", "{bad}"],
+        ["resolve", "{bad}"],
+        ["resolve", SENTENCE_XML, "--tokens", "{bad}"],
+        ["resolve", SENTENCE_XML, "--landmarks", "{bad}"],
+        ["merge", SENTENCE_XML, "{bad}", "-o", "{out}"],
+        ["diff", SENTENCE_XML, "{bad}"],
+        ["convert", "--from", "ag", "--to", "gmt", "{bad}", "-o", "{out}"],
+        ["convert", "--from", "gmt", "--to", "ag", "{bad}", "-o", "{out}"],
+        ["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{out}", "--map", "{bad}"],
+    ],
+)
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(NOT_UTF8)
+    assert main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gmtannot: ")
+    assert f"{bad}: not UTF-8" in lines[0]
+
+
+def test_python_m_gmtannot_runs_the_cli(tmp_path):
+    ok = run_module("validate", SENTENCE_XML)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "", "")
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(NOT_UTF8)
+    failed = run_module("validate", str(bad))
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("gmtannot: ")
+    assert len(failed.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, expected_out",
+    [
+        (["validate"], ""),
+        (["resolve"], "/struct[1]" * 3001 + "\t0\t1\n"),
+        (["diff", "{chain}"], "bothEqual\tspan:0-1\t\n"),
+    ],
+    ids=["validate", "resolve", "diff"],
+)
+def test_deep_chain_through_the_cli(tmp_path, command, expected_out):
+    chain = tmp_path / "chain.xml"
+    chain.write_text(deep_chain_text(3000, indent=False), encoding="utf-8")
+    argv = [command[0], str(chain)] + [arg.format(chain=chain) for arg in command[1:]]
+    result = run_module(*argv)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (0, expected_out)

@@ -345,3 +345,12 @@ def test_non_finite_confidence_is_bad_and_counts_as_zero(text):
     assert codes == ["BAD_CONFIDENCE"]
     assert bundle_confidence(bad) == 0
     assert select_preferred_alternative(AltSet((bad, good))) == good
+
+
+def test_finite_confidence_above_one_still_ranks():
+    loud = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", text=" 5 "))
+    quiet = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.9"))
+    assert bundle_confidence(loud) == 5
+    assert select_preferred_alternative(AltSet((quiet, loud))) == loud
+    codes = [f.code for f in validate_structure(GmtDocument.from_root(StructNode(items=(AltSet((quiet, loud)),)))).findings]
+    assert codes == ["BAD_CONFIDENCE"]

@@ -1,0 +1,234 @@
+"""Element paths: one walker, one path per element, any nesting depth."""
+
+from __future__ import annotations
+
+import random
+
+from gmtannot import (
+    AltSet,
+    Bracket,
+    Feature,
+    GmtDocument,
+    IdTargets,
+    PositionalSpan,
+    Registry,
+    Relation,
+    SegmentRef,
+    StructNode,
+    collect_referenced_ids,
+    default_registry,
+    find_node,
+    parse_gmt,
+    serialize_gmt,
+    validate_categories,
+    validate_structure,
+)
+from gmtannot.model import render_path, walk_elements
+from randgen import DocBuilder, deep_chain_text, random_document
+
+DEPTH = 3000
+
+
+class FaultyBuilder(DocBuilder):
+    """Random documents in which some elements break a structural rule."""
+
+    def fresh_id(self) -> str:
+        roll = self.rng.random()
+        if roll < 0.1:
+            return ""
+        return "twice" if roll < 0.2 else super().fresh_id()
+
+    def feature(self, depth: int = 0) -> Feature:
+        roll = self.rng.random()
+        if roll < 0.1:
+            return Feature(cat="lemma")
+        if roll < 0.15:
+            return Feature(cat="lemma", text="x", target="y")
+        return super().feature(depth)
+
+    def bundle(self, with_confidence: bool = True) -> tuple:
+        members = super().bundle(with_confidence)
+        return members + (Feature(cat="confidence", text="5"),) if self.rng.random() < 0.2 else members
+
+    def seg(self) -> SegmentRef:
+        roll = self.rng.random()
+        if roll < 0.1:
+            return SegmentRef(IdTargets(("w1", "w1")))
+        return SegmentRef(PositionalSpan(9, 3)) if roll < 0.2 else super().seg()
+
+    def item(self, depth: int, allow_alt: bool = True):
+        roll = self.rng.random()
+        if roll < 0.08:
+            return Relation(target="")
+        if roll < 0.14 and allow_alt:
+            return AltSet((self.bundle(),))
+        if roll < 0.22:
+            alts = AltSet(tuple(self.bundle() for _ in range(2)))
+            return Bracket((self.feature(), Bracket((Relation(target=""), self.seg())), alts))
+        return super().item(depth, allow_alt)
+
+
+def faulty_document(rng: random.Random) -> GmtDocument:
+    builder = FaultyBuilder(rng)
+    children = tuple(builder.node(depth=1) for _ in range(rng.randint(1, 5)))
+    return GmtDocument.from_root(StructNode(type="MSAnnot", children=children))
+
+
+def nested_alt_document() -> GmtDocument:
+    """A ``<struct>`` inside an ``<alt>``, under a child of the root."""
+    inner = StructNode(type="x", items=(Feature("mood", "irrealis"), Relation("")))
+    alts = AltSet(((Feature("pos", "N"), inner), (Feature("pos", "V"),)))
+    return GmtDocument.from_root(StructNode(type="MSAnnot", children=(StructNode(items=(alts,)),)))
+
+
+def documents() -> list[GmtDocument]:
+    rng = random.Random(23)
+    return (
+        [random_document(rng) for _ in range(30)]
+        + [faulty_document(rng) for _ in range(30)]
+        + [nested_alt_document()]
+    )
+
+
+def legacy_walk_paths(doc: GmtDocument) -> list[tuple[str, int]]:
+    """``(path, id(node))`` in the node walk's long-standing scheme, computed independently."""
+    out: list[tuple[str, int]] = []
+
+    def visit(path: str, node: StructNode) -> None:
+        out.append((path, id(node)))
+        alt = 0
+        for item in node.items:
+            if isinstance(item, AltSet):
+                for bundle in item.alternatives:
+                    alt += 1
+                    structs = [m for m in bundle if isinstance(m, StructNode)]
+                    for j, member in enumerate(structs, 1):
+                        visit(f"{path}/alt[{alt}]/struct[{j}]", member)
+        for j, child in enumerate(node.children, 1):
+            visit(f"{path}/struct[{j}]", child)
+
+    for i, root in enumerate(doc.roots, 1):
+        visit(f"/struct[{i}]", root)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one path per element
+
+
+def test_nested_alt_struct_reports_each_finding_once():
+    alts = AltSet(((Feature("pos", "N"), StructNode(type="x", items=(Relation(""),))), (Feature("pos", "V"),)))
+    report = validate_structure(GmtDocument.from_root(StructNode(type="W-level", items=(alts,))))
+    assert [(f.code, f.path) for f in report.findings] == [
+        ("EMPTY_TARGET", "/struct[1]/alt[1]/struct[1]/rel[1]")
+    ]
+
+
+def test_category_paths_of_nested_alt_struct_do_not_collide():
+    report = validate_categories(nested_alt_document(), default_registry())
+    assert [(f.code, f.path) for f in report.findings] == [
+        ("VALUE_NOT_IN_SET", "/struct[1]/struct[1]/alt[1]/feat[1]"),
+        ("UNKNOWN_CATEGORY", "/struct[1]/struct[1]/alt[1]/struct[1]/feat[1]"),
+        ("VALUE_NOT_IN_SET", "/struct[1]/struct[1]/alt[2]/feat[1]"),
+    ]
+
+
+def test_element_paths_are_distinct_and_cover_every_finding():
+    registries = (Registry({}), default_registry())
+    for doc in documents():
+        paths = [render_path(path) for path, _, _ in walk_elements(doc)]
+        assert len(set(paths)) == len(paths)
+        known = set(paths)
+        reports = [validate_structure(doc)] + [validate_categories(doc, reg) for reg in registries]
+        for report in reports:
+            assert {f.path for f in report.findings} <= known
+
+
+def test_every_feature_gets_its_own_finding_path():
+    for doc in documents():
+        features = [e for _, _, e in walk_elements(doc) if isinstance(e, Feature)]
+        findings = validate_categories(doc, Registry({})).findings
+        assert len(findings) == len(features)
+        assert len({f.path for f in findings}) == len(findings)
+
+
+def test_structure_findings_come_in_document_order():
+    faulty = [doc for doc in documents() if validate_structure(doc).findings]
+    assert len(faulty) >= 20
+    for doc in faulty:
+        position = {render_path(path): k for k, (path, _, _) in enumerate(walk_elements(doc))}
+        order = [position[f.path] for f in validate_structure(doc).findings]
+        assert order == sorted(order)
+
+
+def test_walk_keeps_its_node_paths():
+    rng = random.Random(29)
+    for doc in [random_document(rng) for _ in range(30)] + [nested_alt_document()]:
+        assert [(path, id(node)) for path, node in doc.walk()] == legacy_walk_paths(doc)
+    # Nodes in a bracket's alternatives, which the node walk used to skip,
+    # are added in document order; every other node keeps its path.
+    for doc in [faulty_document(rng) for _ in range(30)]:
+        walked = iter([(path, id(node)) for path, node in doc.walk()])
+        assert all(entry in walked for entry in legacy_walk_paths(doc))
+
+
+def test_walk_is_the_node_view_of_walk_elements():
+    for doc in documents():
+        nodes = [(render_path(p), id(e)) for p, _, e in walk_elements(doc) if isinstance(e, StructNode)]
+        assert [(path, id(node)) for path, node in doc.walk()] == nodes
+
+
+def test_walk_elements_reports_owners():
+    doc = nested_alt_document()
+    alts = doc.root.children[0].items[0]
+    owners = {render_path(p): owner for p, owner, _ in walk_elements(doc)}
+    assert owners["/struct[1]"] is None
+    assert owners["/struct[1]/struct[1]"] is doc.root
+    assert owners["/struct[1]/struct[1]/alt[1]"] is doc.root.children[0]
+    assert owners["/struct[1]/struct[1]/alt[1]/struct[1]"] is alts
+    assert owners["/struct[1]/struct[1]/alt[2]/feat[1]"] is alts
+    assert owners["/struct[1]/struct[1]/alt[1]/struct[1]/rel[1]"] is alts.alternatives[0][1]
+
+
+def test_nodes_in_bracketed_alternatives_are_walked_and_checked():
+    inner = StructNode(type="morph", id="m1")
+    alts = AltSet(((inner,), (Feature("pos", "V"),)))
+    node = StructNode(type="W-level", id="m1", items=(Bracket((Feature("lemma", "x"), alts)),))
+    doc = GmtDocument.from_root(node)
+    assert [path for path, _ in doc.walk()] == ["/struct[1]", "/struct[1]/brack[1]/alt[1]/struct[1]"]
+    assert find_node(GmtDocument.from_root(StructNode(items=node.items)), "m1") is inner
+    report = validate_structure(doc)
+    assert [(f.code, f.path) for f in report.findings] == [
+        ("DUPLICATE_ID", "/struct[1]/brack[1]/alt[1]/struct[1]")
+    ]
+
+
+def test_singleton_alt_points_at_its_first_alt():
+    first = AltSet(((Feature("pos", "N"),), (Feature("pos", "V"),)))
+    single = AltSet(((Feature("pos", "D"),),))
+    node = StructNode(type="W-level", items=(first, Feature("lemma", "x"), single))
+    report = validate_structure(GmtDocument.from_root(node))
+    assert [(f.code, f.path) for f in report.findings] == [("SINGLETON_ALT", "/struct[1]/alt[3]")]
+
+
+# ---------------------------------------------------------------------------
+# deep nesting
+
+
+def test_deep_chain_is_walked_validated_and_searched():
+    doc, diagnostics = parse_gmt(deep_chain_text(DEPTH))
+    assert diagnostics.warnings == ()
+    paths = [path for path, _ in doc.walk()]
+    assert len(paths) == DEPTH + 1
+    assert paths[-1] == "/struct[1]" * (DEPTH + 1)
+    assert find_node(doc, "leaf").items[0] == Feature("pos", "NOUN")
+    assert validate_structure(doc).findings == ()
+    assert validate_categories(doc, default_registry()).findings == ()
+    assert collect_referenced_ids(doc) == {"leaf"}
+    assert sum(1 for _ in walk_elements(doc)) == DEPTH + 4
+
+
+def test_deep_chain_serializes_to_its_canonical_text():
+    text = deep_chain_text(DEPTH)
+    doc, _ = parse_gmt(text)
+    assert serialize_gmt(doc) == text
