@@ -22,8 +22,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .anchoring import build_landmark_table
-from .errors import AgParseError, BridgeError, InvertedSpanError, UnresolvedTargetError
+from .anchoring import build_landmark_table, resolve_seg
+from .errors import AgParseError, BridgeError
 from .model import (
     Feature,
     GmtDocument,
@@ -265,13 +265,7 @@ def gmt_to_ag(
                     f"node of type {node.type!r} in {layer.doc_type!r} has no landmark anchor",
                     code="MISSING_ANCHOR",
                 )
-            for endpoint in (endpoints.start, endpoints.end):
-                if endpoint not in table:
-                    raise UnresolvedTargetError(endpoint)
-            if table[endpoints.start] > table[endpoints.end]:
-                raise InvertedSpanError(
-                    f"landmarks '{endpoints.start}'..'{endpoints.end}' are inverted"
-                )
+            resolve_seg(SegmentRef(endpoints), landmarks=table)
             attrs: list[tuple[str, str]] = [(ARC_TYPE_ATTR, att1)]
             for item in iter_items(node):
                 if isinstance(item, Feature):

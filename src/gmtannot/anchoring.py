@@ -22,7 +22,6 @@ from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedT
 from .model import (
     Feature,
     GmtDocument,
-    IdTargets,
     LandmarkEndpoints,
     PositionalSpan,
     SegmentRef,
@@ -228,8 +227,10 @@ def derived_extent(
     None when nothing resolves to offsets.
     """
     spans: list[tuple[int, int]] = []
-
-    def visit(current: StructNode) -> None:
+    # Children are pushed in reverse so nodes are visited in document order.
+    stack = [node]
+    while stack:
+        current = stack.pop()
         for item in iter_items(current):
             if not isinstance(item, SegmentRef):
                 continue
@@ -243,10 +244,7 @@ def derived_extent(
                 continue
             if resolved.is_span:
                 spans.append((resolved.start, resolved.end))
-        for child in current.children:
-            visit(child)
-
-    visit(node)
+        stack.extend(reversed(current.children))
     if not spans:
         return None
     return min(s for s, _ in spans), max(e for _, e in spans)

@@ -1,7 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 findings or conversion errors, 2 I/O or parse
-failures.  Standard output carries data, standard error diagnostics.
+Standard output carries data, standard error diagnostics.  Exit codes:
+0 success; 1 findings, or any other gmtannot error or ``ValueError``
+raised while a command works on its inputs; 2 an ``OSError``, a GMT,
+annotation-graph, registry or token-index file that does not parse, or an
+input unusable before any work begins (a malformed ``--map`` table, a
+landmark description that yields no table for ``resolve --landmarks``,
+more than one graph for ``ag -> gmt``).  :func:`main` alone turns an
+error into an exit code and one ``gmtannot: ...`` line; any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -16,10 +23,9 @@ from .errors import (
     AgParseError,
     AnchorError,
     BridgeError,
+    GmtError,
     GmtParseError,
-    GmtSerializeError,
     InvertedSpanError,
-    MergeError,
     RegistryError,
     TokenIndexError,
     UnresolvedTargetError,
@@ -30,6 +36,10 @@ from .registry import default_registry, load_registry, validate_categories
 from .xml_io import parse_gmt, serialize_gmt
 
 OK, FINDINGS, FAILURE = 0, 1, 2
+
+
+class _InputError(Exception):
+    """An input unusable before any work begins: exits 2 whatever the cause's class."""
 
 
 def _err(message: str) -> None:
@@ -53,18 +63,8 @@ def _load_document(path: str) -> GmtDocument:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.file)
-        if args.registry is not None:
-            reg = load_registry(_read(args.registry))
-        else:
-            reg = default_registry()
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    except (GmtParseError, RegistryError) as exc:
-        _err(str(exc))
-        return FAILURE
+    doc = _load_document(args.file)
+    reg = load_registry(_read(args.registry)) if args.registry is not None else default_registry()
     report = ValidationReport(
         validate_structure(doc).findings + validate_categories(doc, reg).findings
     )
@@ -77,80 +77,32 @@ def cmd_convert(args: argparse.Namespace) -> int:
     try:
         type_map = load_type_map(_read(args.map)) if args.map else DEFAULT_TYPE_MAP
     except (OSError, BridgeError) as exc:
-        _err(f"mapping table: {exc}")
-        return FAILURE
+        raise _InputError(f"mapping table: {exc}") from None
     if args.source_format == "ag":
-        return _convert_ag_to_gmt(args, type_map)
-    return _convert_gmt_to_ag(args, type_map)
-
-
-def _convert_ag_to_gmt(args: argparse.Namespace, type_map: dict) -> int:
-    if len(args.inputs) != 1:
-        _err("ag -> gmt takes exactly one input file")
-        return FAILURE
-    try:
-        graph = parse_ag(_read(args.inputs[0]))
-    except (OSError, AgParseError) as exc:
-        _err(str(exc))
-        return FAILURE
-    try:
-        docs = ag_to_gmt(graph, type_map)
-    except BridgeError as exc:
-        _err(str(exc))
-        return FINDINGS
-    out_dir = Path(args.output)
-    try:
+        if len(args.inputs) != 1:
+            raise _InputError("ag -> gmt takes exactly one input file")
+        docs = ag_to_gmt(parse_ag(_read(args.inputs[0])), type_map)
+        out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         for doc in docs:
             name = "landmarks.xml" if doc.doc_type == "landmarkDesc" else f"{doc.doc_type}.xml"
             (out_dir / name).write_text(serialize_gmt(doc), encoding="utf-8")
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    return OK
-
-
-def _convert_gmt_to_ag(args: argparse.Namespace, type_map: dict) -> int:
-    if not args.inputs:
-        _err("gmt -> ag needs a landmark file (plus any layer files)")
-        return FAILURE
-    try:
+    else:
         landmark_doc = _load_document(args.inputs[0])
         layers = [_load_document(path) for path in args.inputs[1:]]
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    except GmtParseError as exc:
-        _err(str(exc))
-        return FAILURE
-    try:
         graph = gmt_to_ag(landmark_doc, layers, type_map)
-    except (BridgeError, UnresolvedTargetError, InvertedSpanError, AnchorError, ValueError) as exc:
-        _err(str(exc))
-        return FINDINGS
-    try:
         Path(args.output).write_text(serialize_ag(graph), encoding="utf-8")
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
     return OK
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    doc = _load_document(args.file)
+    tokens = load_token_index(_read(args.tokens)) if args.tokens else None
+    landmark_doc = _load_document(args.landmarks) if args.landmarks else None
     try:
-        doc = _load_document(args.file)
-        tokens = load_token_index(_read(args.tokens)) if args.tokens else None
-        landmarks = (
-            build_landmark_table(_load_document(args.landmarks))
-            if args.landmarks
-            else None
-        )
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    except (GmtParseError, TokenIndexError, AnchorError) as exc:
-        _err(str(exc))
-        return FAILURE
+        landmarks = build_landmark_table(landmark_doc) if landmark_doc is not None else None
+    except AnchorError as exc:
+        raise _InputError(str(exc)) from None
     failed = False
     for path, node in doc.walk():
         for item in iter_items(node):
@@ -172,42 +124,17 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    try:
-        docs = [_load_document(path) for path in args.files]
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    except GmtParseError as exc:
-        _err(str(exc))
-        return FAILURE
+    docs = [_load_document(path) for path in args.files]
     warnings: list[str] = []
-    try:
-        merged = merge(docs, MergePolicy(on_parallel=args.policy), warnings)
-        text = serialize_gmt(merged)
-    except (MergeError, GmtSerializeError) as exc:
-        _err(str(exc))
-        return FINDINGS
+    text = serialize_gmt(merge(docs, MergePolicy(on_parallel=args.policy), warnings))
     for warning in warnings:
-        print(f"gmtannot: {warning}", file=sys.stderr)
-    try:
-        Path(args.output).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
+        _err(warning)
+    Path(args.output).write_text(text, encoding="utf-8")
     return OK
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        left = _load_document(args.left)
-        right = _load_document(args.right)
-    except OSError as exc:
-        _err(str(exc))
-        return FAILURE
-    except GmtParseError as exc:
-        _err(str(exc))
-        return FAILURE
-    report = diff(left, right)
+    report = diff(_load_document(args.left), _load_document(args.right))
     if report.entries:
         print(report.render())
     return OK if report.all_equal else FINDINGS
@@ -262,7 +189,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "convert" and args.source_format == args.target_format:
         parser.error("--from and --to must name different formats")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, GmtParseError, AgParseError, RegistryError, TokenIndexError, _InputError) as exc:
+        _err(str(exc))
+        return FAILURE
+    except (GmtError, ValueError) as exc:
+        _err(str(exc))
+        return FINDINGS
 
 
 def run() -> None:

@@ -4,8 +4,9 @@ Nodes from different documents are aligned by an *anchor key*: the
 canonical form of their segment addressing (identifier targets sorted,
 positional spans as ``start-end``, landmark endpoints as ``lm
 start-end``).  Nodes without a segment fall back to their type plus the
-anchor fingerprint of their descendants; nodes with no anchor anywhere
-cannot be aligned and always pass through unchanged.
+anchor keys of their descendants; nodes with no anchor anywhere cannot
+be aligned and always pass through unchanged.  Equal keys mean equal
+addressing: see "Anchor keys" in ``docs/formats.md``.
 
 Groups of same-key nodes express the three relations between parallel
 annotations: keep-all keeps them side by side, dedup collapses
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Iterator, Optional
 
 from .errors import MergeError
 from .model import (
@@ -29,7 +30,6 @@ from .model import (
     Feature,
     GmtDocument,
     IdTargets,
-    LandmarkEndpoints,
     NodeItem,
     PositionalSpan,
     Relation,
@@ -67,25 +67,56 @@ class MergePolicy:
 # anchor keys
 
 
+#: Characters that structure an anchor key, written as ``%XX`` inside ids,
+#: landmark ids and node types so that distinct addressing never collides.
+_KEY_DELIMITERS = frozenset("%,-&;:()")
+_KEY_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in _KEY_DELIMITERS})
+
+
+def _escape(text: str) -> str:
+    # Testing membership first is about twice as fast on ids needing no escape.
+    return text if _KEY_DELIMITERS.isdisjoint(text) else text.translate(_KEY_ESCAPES)
+
+
 def seg_key(seg: SegmentRef) -> str:
     """Canonical string form of one segment's addressing."""
     addr = seg.addr
     if isinstance(addr, IdTargets):
-        return "ids:" + ",".join(sorted(addr.ids))
+        return "ids:" + ",".join(sorted(map(_escape, addr.ids)))
     if isinstance(addr, PositionalSpan):
         return f"span:{addr.start}-{addr.end}"
-    return f"lm:{addr.start}-{addr.end}"
+    return f"lm:{_escape(addr.start)}-{_escape(addr.end)}"
 
 
 def anchor_key(node: StructNode) -> Optional[str]:
-    """Alignment key for a node, or None when it has no anchor at all."""
-    segs = [item for item in iter_items(node) if isinstance(item, SegmentRef)]
+    """Alignment key for a node, or None when it has no anchor at all.
+
+    A node carrying segments is keyed by them.  Any other node is keyed by
+    its type and its children's keys, folded bottom-up on an explicit
+    stack, so nesting depth is bounded by memory only.
+    """
+    segs = sorted(seg_key(item) for item in iter_items(node) if isinstance(item, SegmentRef))
     if segs:
-        return "&".join(sorted(seg_key(s) for s in segs))
-    child_keys = sorted(k for k in (anchor_key(c) for c in node.children) if k is not None)
-    if child_keys:
-        return f"node:{node.type or ''}:{';'.join(child_keys)}"
-    return None
+        return "&".join(segs)
+    # A frame: a segless node, its children still to key, and the keys so far.
+    stack: list[tuple[StructNode, Iterator[StructNode], list[str]]] = [
+        (node, iter(node.children), [])
+    ]
+    while True:
+        current, children, keys = stack[-1]
+        for child in children:
+            if _has_segs(child):
+                keys.append(anchor_key(child))
+            else:
+                stack.append((child, iter(child.children), []))
+                break
+        else:
+            stack.pop()
+            key = f"node:{_escape(current.type or '')}:({';'.join(sorted(keys))})" if keys else None
+            if not stack:
+                return key
+            if key is not None:
+                stack[-1][2].append(key)
 
 
 def _addressing_mode(node: StructNode) -> Optional[str]:
@@ -306,10 +337,7 @@ def _anchored_nodes(doc: GmtDocument) -> dict[str, list[StructNode]]:
     found: dict[str, list[StructNode]] = {}
     for _, node in doc.walk():
         if _has_segs(node):
-            key = "&".join(
-                sorted(seg_key(i) for i in iter_items(node) if isinstance(i, SegmentRef))
-            )
-            found.setdefault(key, []).append(node)
+            found.setdefault(anchor_key(node), []).append(node)
     return found
 
 

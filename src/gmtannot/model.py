@@ -248,10 +248,6 @@ class ValidationReport:
         return tuple(f for f in self.findings if f.severity == ERROR)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.findings
-
-    @property
     def ok(self) -> bool:
         """True when the report carries no error-severity findings."""
         return not self.errors
@@ -292,18 +288,18 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
     seen_ids: set[str] = set()
     for path, owner, element in walk_elements(doc):
         if isinstance(element, Feature):
-            # An empty nested tuple carries no value either; refusing it here
-            # keeps serialization round-trippable.
-            populated = (element.text is not None) + bool(element.nested) + (element.target is not None)
-            if populated == 0:
-                out.add(ERROR, "FEATURE_NO_VALUE", path, f"feature '{element.cat}' carries no value")
-            elif populated > 1:
+            forms = (element.text is not None) + (element.nested is not None) + (element.target is not None)
+            if forms > 1:
                 out.add(
                     ERROR,
                     "FEATURE_MULTIPLE_VALUES",
                     path,
                     f"feature '{element.cat}' carries more than one value form",
                 )
+            elif forms == 0 or element.nested == ():
+                # An empty nested tuple carries no value either; refusing it
+                # here keeps serialization round-trippable.
+                out.add(ERROR, "FEATURE_NO_VALUE", path, f"feature '{element.cat}' carries no value")
             if isinstance(owner, AltSet) and element.cat == CONFIDENCE_CAT:
                 value = _finite_decimal(element.text)
                 if value is None or not 0 <= value <= 1:

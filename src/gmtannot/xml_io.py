@@ -507,8 +507,7 @@ def _write_struct(root: StructNode, lines: list[str]) -> None:
                 continue
             else:
                 tag, attrs, content = "brack", "", value.members
-            # An empty nested tuple still gets a <feat> open/close pair.
-            if not content and tag != "feat":
+            if not content:
                 lines.append(f"{pad}<{tag}{attrs}/>")
                 continue
             lines.append(f"{pad}<{tag}{attrs}>")

@@ -29,7 +29,13 @@ from gmtannot import (
     tokenize_whitespace,
 )
 from conftest import load_fixture
-from randgen import DocBuilder, random_anchored_tree, random_landmark_table, random_token_index
+from randgen import (
+    DocBuilder,
+    deep_chain_text,
+    random_anchored_tree,
+    random_landmark_table,
+    random_token_index,
+)
 
 SENTENCE = "Paul aime les croissants"
 
@@ -265,6 +271,11 @@ def test_derived_extent_lenient_records_warnings():
         node, tokens=tokenize_whitespace(SENTENCE), strict=False, warnings=warnings
     ) == (3, 8)
     assert len(warnings) == 1
+
+
+def test_derived_extent_on_a_deep_chain():
+    doc, _ = parse_gmt(deep_chain_text(3000))
+    assert derived_extent(doc.root) == (0, 1)
 
 
 def _oracle_extent(node, index: TokenIndex, table) -> tuple | None:

@@ -379,3 +379,79 @@ def test_deep_chain_through_the_cli(tmp_path, command, expected_out):
     result = run_module(*argv)
     assert "Traceback" not in result.stderr
     assert (result.returncode, result.stdout) == (0, expected_out)
+
+
+@pytest.mark.parametrize("policy", ["keep-all", "fold-alt"])
+def test_merge_deep_chain_exits_1_with_one_line(tmp_path, policy):
+    # Both copies keep the leaf's id, so serialize_gmt refuses the merge.
+    chain = tmp_path / "chain.xml"
+    chain.write_text(deep_chain_text(3000, indent=False), encoding="utf-8")
+    result = run_module("merge", str(chain), str(chain), "-o", str(tmp_path / "out.xml"), "--policy", policy)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("gmtannot: ")
+
+
+# ---------------------------------------------------------------------------
+# exit codes that depend on the phase that raised the error
+
+PHASE_FILES = {
+    "q_arc.xml": (
+        "<annotation>"
+        '<arc><source id="0" offset="0"/><label att_1="Q" att_2="x"/><target id="1" offset="5"/></arc>'
+        "</annotation>"
+    ),
+    "bad_map.tsv": "Q\tquestionAnnot\n",
+    "no_position.xml": '<struct type="landmarkDesc"><struct type="landmark" id="0"/></struct>',
+    "unmapped.xml": '<struct type="otherAnnot"><struct type="x"/></struct>',
+    "bad.tokens": "w1\t0\n",
+    "w1.xml": '<struct type="W-level"><seg target="#w1"/><feat type="pos">NOUN</feat></struct>',
+    "w2.xml": '<struct type="W-level"><seg target="#w2"/><feat type="pos">VERB</feat></struct>',
+    "regular": "",
+}
+LANDMARKS = str(FIXTURES / "landmark_desc.xml")
+PHONES = str(FIXTURES / "event_anchored_phones.xml")
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["convert", "--from", "ag", "--to", "gmt", "{d}/q_arc.xml", "-o", "{d}/out"], 1, ""),
+        (["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{d}/out", "--map", "{d}/bad_map.tsv"],
+         2, "mapping table: "),
+        (["resolve", PHONES, "--landmarks", "{d}/no_position.xml"], 2, ""),
+        (["convert", "--from", "gmt", "--to", "ag", "{d}/no_position.xml", "-o", "{d}/out.xml"], 1, ""),
+        (["convert", "--from", "gmt", "--to", "ag", LANDMARKS, "{d}/unmapped.xml", "-o", "{d}/out.xml"],
+         1, ""),
+        (["resolve", SENTENCE_XML, "--tokens", "{d}/bad.tokens"], 2, ""),
+        (["merge", "{d}/w1.xml", "{d}/w2.xml", "-o", "{d}/out.xml"], 1, ""),
+        (["convert", "--from", "ag", "--to", "gmt", AG_XML, AG_XML, "-o", "{d}/out"], 2, ""),
+        (["merge", SENTENCE_XML, SENTENCE_XML, "-o", "{d}/regular/out.xml"], 2, ""),
+        (["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{d}/regular/out"], 2, ""),
+        (["convert", "--from", "gmt", "--to", "ag", LANDMARKS, PHONES, "-o", "{d}/regular/out.xml"],
+         2, ""),
+    ],
+    ids=[
+        "unknown-arc-type",
+        "malformed-map",
+        "resolve-landmark-without-position",
+        "convert-landmark-without-position",
+        "unmapped-layer-doc-type",
+        "malformed-token-index",
+        "merge-refused-by-writer",
+        "two-graphs-for-ag-to-gmt",
+        "merge-output-below-a-file",
+        "ag-to-gmt-output-below-a-file",
+        "gmt-to-ag-output-below-a-file",
+    ],
+)
+def test_phase_dependent_exit_codes(tmp_path, capsys, argv, code, prefix):
+    for name, text in PHASE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([arg.format(d=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gmtannot: " + prefix)

@@ -19,6 +19,7 @@ from gmtannot import (
     GmtDocument,
     IdTargets,
     KEEP_ALL,
+    LandmarkEndpoints,
     MergeError,
     MergePolicy,
     ONLY_LEFT,
@@ -317,3 +318,38 @@ def test_diff_rendering_is_sorted_and_tab_separated():
         f"{ONLY_LEFT}\tids:a\t1 node(s) of type W-level",
         f"{ONLY_LEFT}\tids:b\t1 node(s) of type W-level",
     ]
+
+
+# ---------------------------------------------------------------------------
+# anchor keys
+
+
+def _anchored_doc(addr) -> GmtDocument:
+    word = StructNode(type="W-level", items=(SegmentRef(addr), Feature(cat="pos", text="NOUN")))
+    return GmtDocument.from_root(StructNode(type="annot", children=(word,)))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (LandmarkEndpoints("a-b", "c"), LandmarkEndpoints("a", "b-c")),
+        (IdTargets(("a,b",)), IdTargets(("a", "b"))),
+    ],
+    ids=["landmark-dash", "id-comma"],
+)
+def test_distinct_addressing_gets_distinct_anchor_keys(left, right):
+    report = diff(_anchored_doc(left), _anchored_doc(right))
+    assert len(report.entries) == 2
+    assert not report.all_equal
+
+
+def test_segless_anchor_keys_nest_and_escape():
+    def word(target: str) -> StructNode:
+        return StructNode(type="W-level", items=(SegmentRef(IdTargets((target,))),))
+
+    nested = StructNode(type="t", children=(StructNode(type="u", children=(word("a"),)),))
+    flat = StructNode(type="t:node:u", children=(word("a"),))
+    # Unbracketed and unescaped, both keys would read node:t:node:u:ids:a.
+    assert anchor_key(nested) == "node:t:(node:u:(ids:a))"
+    assert anchor_key(flat) == "node:t%3Anode%3Au:(ids:a)"
+    assert anchor_key(StructNode(type="t", children=(StructNode(type="u"),))) is None

@@ -197,6 +197,21 @@ def test_serialize_refuses_invalid_document():
     assert "FEATURE_NO_VALUE" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "feature, code",
+    [
+        (Feature(cat="lemma", text="chat", nested=()), "FEATURE_MULTIPLE_VALUES"),
+        (Feature(cat="lemma", nested=()), "FEATURE_NO_VALUE"),
+    ],
+)
+def test_serialize_refuses_an_empty_nested_value(feature, code):
+    # Written out, an empty nested value would reparse as text=''.
+    doc = GmtDocument.from_root(StructNode(type="W-level", items=(feature,)))
+    with pytest.raises(GmtSerializeError) as exc:
+        serialize_gmt(doc)
+    assert code in str(exc.value)
+
+
 def test_serialize_refuses_multiple_roots():
     doc = GmtDocument(doc_type="x", roots=(StructNode(), StructNode()))
     with pytest.raises(GmtSerializeError):
