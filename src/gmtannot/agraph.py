@@ -209,7 +209,7 @@ def ag_to_gmt(
         )
         for node_id, offset in sorted(graph.nodes.items(), key=lambda kv: (kv[1], kv[0]))
     )
-    landmark_doc = GmtDocument.from_root(StructNode(type="landmarkDesc", children=landmark_children))
+    landmark_doc = GmtDocument(StructNode(type="landmarkDesc", children=landmark_children))
     by_type: dict[str, list[StructNode]] = {}
     for position, arc in enumerate(graph.arcs, start=1):
         att1 = arc.get(ARC_TYPE_ATTR)
@@ -230,7 +230,7 @@ def ag_to_gmt(
     docs = [landmark_doc]
     for att1, structs in by_type.items():
         doc_type = type_map[att1][0]
-        docs.append(GmtDocument.from_root(StructNode(type=doc_type, children=tuple(structs))))
+        docs.append(GmtDocument(StructNode(type=doc_type, children=tuple(structs))))
     return docs
 
 

@@ -51,7 +51,6 @@ class TokenIndex:
     """Sidecar index mapping token ids to character spans of a text."""
 
     entries: tuple[Token, ...]
-    source_text: Optional[str] = None
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -111,7 +110,7 @@ def tokenize_whitespace(text: str, prefix: str = "w") -> TokenIndex:
         number += 1
         entries.append(Token(f"{prefix}{number}", start, start + len(chunk)))
         offset = start + len(chunk)
-    return TokenIndex(tuple(entries), source_text=text)
+    return TokenIndex(tuple(entries))
 
 
 #: Landmark id -> position, in time or offset units.

@@ -17,9 +17,10 @@ per-source brackets; nodes with children fall back to keep-all).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import MergeError
 from .model import (
@@ -36,6 +37,7 @@ from .model import (
     SegmentRef,
     StructNode,
     iter_items,
+    walk_elements,
 )
 
 KEEP_ALL = "keep-all"
@@ -139,7 +141,10 @@ def merge(
 
     Top-level annotation nodes are grouped by anchor key, in first
     occurrence order; what happens to groups larger than one is the
-    policy's call.  Mixed document types and mixed addressing modes for
+    policy's call.  When the roots themselves carry segments they are
+    aligned as one such group: a single resulting node is the merged
+    root, and several become the children of a container root of the
+    document type.  Mixed document types and mixed addressing modes for
     one anchor key are errors.
     """
     if not docs:
@@ -148,16 +153,14 @@ def merge(
     for doc in docs[1:]:
         if doc.doc_type != doc_type:
             raise MergeError(f"mixed document types: {doc_type!r} and {doc.doc_type!r}")
-    roots = []
-    for doc in docs:
-        if len(doc.roots) != 1:
-            raise MergeError("every input document must have a single root")
-        roots.append(doc.root)
+    roots = [doc.root for doc in docs]
     if any(_has_segs(root) for root in roots):
         # The roots are annotation nodes themselves: align them like any
         # other anchor group rather than treating them as containers.
         merged = _merge_level(roots, policy, warnings)
-        return GmtDocument(doc_type=doc_type, roots=tuple(merged))
+        if len(merged) == 1:
+            return GmtDocument(merged[0])
+        return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
     items: list[NodeItem] = []
     seen_item_lists: list[tuple[NodeItem, ...]] = []
     for root in roots:
@@ -166,10 +169,9 @@ def merge(
             seen_item_lists.append(root.items)
     children = _merge_level([child for root in roots for child in root.children], policy, warnings)
     first = roots[0]
-    root = StructNode(
-        type=first.type, id=first.id, ref=first.ref, items=tuple(items), children=tuple(children)
+    return GmtDocument(
+        StructNode(type=first.type, id=first.id, ref=first.ref, items=tuple(items), children=tuple(children))
     )
-    return GmtDocument(doc_type=doc_type, roots=(root,))
 
 
 def _has_segs(node: StructNode) -> bool:
@@ -323,50 +325,46 @@ def diff(left: GmtDocument, right: GmtDocument) -> DiffReport:
             entries.append(DiffEntry(key, ONLY_LEFT, _describe(lhs)))
         elif not lhs:
             entries.append(DiffEntry(key, ONLY_RIGHT, _describe(rhs)))
+        elif _bag(map(_fingerprint, lhs)) == _bag(map(_fingerprint, rhs)):
+            entries.append(DiffEntry(key, BOTH_EQUAL, ""))
         else:
-            left_shapes = sorted(repr(_fingerprint(n)) for n in lhs)
-            right_shapes = sorted(repr(_fingerprint(n)) for n in rhs)
-            if left_shapes == right_shapes:
-                entries.append(DiffEntry(key, BOTH_EQUAL, ""))
-            else:
-                entries.append(DiffEntry(key, BOTH_DIFFER, _feature_delta(lhs, rhs)))
+            entries.append(DiffEntry(key, BOTH_DIFFER, _feature_delta(lhs, rhs)))
     return DiffReport(tuple(entries))
 
 
 def _anchored_nodes(doc: GmtDocument) -> dict[str, list[StructNode]]:
     found: dict[str, list[StructNode]] = {}
-    for _, node in doc.walk():
-        if _has_segs(node):
-            found.setdefault(anchor_key(node), []).append(node)
+    for _, _, element in walk_elements(doc):
+        if isinstance(element, StructNode) and _has_segs(element):
+            found.setdefault(anchor_key(element), []).append(element)
     return found
 
 
-def _fingerprint(node: StructNode) -> object:
+def _bag(values: Iterable[Hashable]) -> frozenset:
+    """The multiset of ``values``: equal for equal values in any order."""
+    return frozenset(Counter(values).items())
+
+
+def _fingerprint(node: StructNode) -> tuple:
     """Order-insensitive canonical shape; anchored descendants judged separately."""
     items = []
     for item in iter_items(node):
         if isinstance(item, Feature):
             items.append(_feature_fp(item))
         elif isinstance(item, AltSet):
-            bundles = tuple(
-                tuple(
-                    sorted(
-                        repr(_feature_fp(m) if isinstance(m, Feature) else _member_fp(m))
-                        for m in b
-                    )
-                )
+            bundles = (
+                _bag(_feature_fp(m) if isinstance(m, Feature) else _member_fp(m) for m in b)
                 for b in item.alternatives
             )
-            items.append(("alt", tuple(sorted(bundles))))
+            items.append(("alt", _bag(bundles)))
         elif isinstance(item, Relation):
             items.append(("rel", item.rel_type or "", item.target))
         elif isinstance(item, SegmentRef):
             items.append(("seg", seg_key(item)))
-    children = tuple(repr(_member_fp(c)) for c in node.children)
-    return (node.type or "", tuple(sorted(map(repr, items))), tuple(sorted(children)))
+    return (node.type or "", _bag(items), _bag(map(_member_fp, node.children)))
 
 
-def _member_fp(node: StructNode) -> object:
+def _member_fp(node: StructNode) -> tuple:
     if _has_segs(node):
         return ("anchored",)
     return _fingerprint(node)
@@ -376,7 +374,7 @@ def _feature_fp(feat: Feature) -> tuple:
     if feat.target is not None:
         value: object = ("@", feat.target)
     elif feat.nested is not None:
-        value = tuple(sorted(repr(_feature_fp(f)) for f in feat.nested))
+        value = _bag(map(_feature_fp, feat.nested))
     else:
         value = feat.text or ""
     return ("feat", feat.cat, value)

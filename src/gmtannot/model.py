@@ -115,22 +115,19 @@ class StructNode:
 
 @dataclass(frozen=True)
 class GmtDocument:
-    """Root of one stand-off annotation layer."""
+    """One stand-off annotation layer: the tree under a single root node."""
 
-    doc_type: str = ""
-    roots: tuple[StructNode, ...] = ()
-
-    @classmethod
-    def from_root(cls, root: StructNode) -> "GmtDocument":
-        """Wrap a single node, taking the document type from it."""
-        return cls(doc_type=root.type or "", roots=(root,))
+    root: StructNode
 
     @property
-    def root(self) -> StructNode:
-        """The unique root node; raises if the document has none or many."""
-        if len(self.roots) != 1:
-            raise ValueError(f"document has {len(self.roots)} roots, expected exactly 1")
-        return self.roots[0]
+    def doc_type(self) -> str:
+        """The document type, which is the root's type ("" for an untyped root)."""
+        return self.root.type or ""
+
+    @property
+    def roots(self) -> tuple[StructNode, ...]:
+        """``(root,)``, for callers written against the earlier tuple of roots."""
+        return (self.root,)
 
     def walk(self) -> Iterator[tuple[str, StructNode]]:
         """Yield ``(path, node)`` for every node in document order.
@@ -178,7 +175,7 @@ def walk_elements(doc: GmtDocument) -> Iterator[tuple[ElementPath, Owner, Elemen
     # One frame per open owner: its members still to visit, its path, the
     # owner itself and the per-tag counts so far.
     stack: list[tuple[Iterator, Optional[ElementPath], Owner, dict[str, int]]] = [
-        (iter(doc.roots), None, None, {})
+        (iter((doc.root,)), None, None, {})
     ]
     while stack:
         members, parent, owner, counts = stack[-1]
@@ -278,13 +275,6 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
     are validated separately against a registry.
     """
     out = _ReportBuilder()
-    if doc.roots and doc.roots[0].type and doc.doc_type and doc.roots[0].type != doc.doc_type:
-        out.add(
-            WARNING,
-            "DOCTYPE_MISMATCH",
-            (None, "struct", 1),
-            f"document type '{doc.doc_type}' differs from root type '{doc.roots[0].type}'",
-        )
     seen_ids: set[str] = set()
     for path, owner, element in walk_elements(doc):
         if isinstance(element, Feature):
@@ -360,8 +350,9 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
         index = doc._node_index  # type: ignore[attr-defined]
     except AttributeError:
         index = {}
-        for _, node in doc.walk():
-            index.setdefault(node.id, node)
+        for _, _, element in walk_elements(doc):
+            if isinstance(element, StructNode):
+                index.setdefault(element.id, element)
         # Not a dataclass field, so equality, hashing and repr ignore it.
         object.__setattr__(doc, "_node_index", index)
     return index.get(node_id)

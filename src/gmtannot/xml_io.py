@@ -415,8 +415,7 @@ class _GmtBuilder:
                 expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
             ) from exc
         assert self.root is not None
-        doc = GmtDocument(doc_type=self.root.type or "", roots=(self.root,))
-        return doc, ParseDiagnostics(tuple(self.warnings))
+        return GmtDocument(self.root), ParseDiagnostics(tuple(self.warnings))
 
 
 def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:
@@ -444,17 +443,15 @@ def _content(value: str) -> str:
 def serialize_gmt(doc: GmtDocument) -> str:
     """Write a document in canonical GMT XML.
 
-    The document must pass :func:`validate_structure` with zero errors and
-    have exactly one root; otherwise serialization is refused.
+    The document must pass :func:`validate_structure` with zero errors;
+    otherwise serialization is refused.
     """
     report = validate_structure(doc)
     if not report.ok:
         first = report.errors[0]
         raise GmtSerializeError(f"invalid document: {first.code} at {first.path}: {first.message}")
-    if len(doc.roots) != 1:
-        raise GmtSerializeError(f"GMT XML carries exactly one root element, document has {len(doc.roots)}")
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    _write_struct(doc.roots[0], lines)
+    _write_struct(doc.root, lines)
     return "\n".join(lines) + "\n"
 
 

@@ -130,7 +130,7 @@ def random_document(rng: random.Random) -> GmtDocument:
     """A structurally valid document with varied content."""
     builder = DocBuilder(rng)
     children = tuple(builder.node(depth=1) for _ in range(rng.randint(0, 5)))
-    return GmtDocument.from_root(StructNode(type="MSAnnot", children=children))
+    return GmtDocument(StructNode(type="MSAnnot", children=children))
 
 
 def random_anchored_node(rng: random.Random, builder: DocBuilder, used_keys: set) -> StructNode:
@@ -154,7 +154,7 @@ def random_mergeable_document(rng: random.Random, doc_type: str = "MSAnnot") -> 
     builder = DocBuilder(rng)
     used: set = set()
     children = tuple(random_anchored_node(rng, builder, used) for _ in range(rng.randint(1, 6)))
-    return GmtDocument.from_root(StructNode(type=doc_type, children=children))
+    return GmtDocument(StructNode(type=doc_type, children=children))
 
 
 PHONES = ["h#", "sh", "iy", "hv", "ae", "dcl", "y", "axr", "q", "em"]

@@ -176,28 +176,28 @@ def test_fixture_graph_round_trip(graph):
 
 
 def test_gmt_to_ag_empty():
-    empty = GmtDocument.from_root(StructNode(type="landmarkDesc"))
+    empty = GmtDocument(StructNode(type="landmarkDesc"))
     graph = gmt_to_ag(empty, [])
     assert graph.nodes == {}
     assert graph.arcs == ()
 
 
 def test_gmt_to_ag_rejects_unmapped_layer_type():
-    landmarks = GmtDocument.from_root(StructNode(type="landmarkDesc"))
-    layer = GmtDocument.from_root(StructNode(type="prosodyAnnot"))
+    landmarks = GmtDocument(StructNode(type="landmarkDesc"))
+    layer = GmtDocument(StructNode(type="prosodyAnnot"))
     with pytest.raises(BridgeError) as exc:
         gmt_to_ag(landmarks, [layer])
     assert exc.value.code == "UNMAPPED_DOC_TYPE"
 
 
 def test_gmt_to_ag_unresolved_landmark():
-    landmarks = GmtDocument.from_root(
+    landmarks = GmtDocument(
         StructNode(
             type="landmarkDesc",
             children=(StructNode(type="landmark", id="0", items=(Feature(cat="position", text="0"),)),),
         )
     )
-    layer = GmtDocument.from_root(
+    layer = GmtDocument(
         StructNode(
             type="phoneticAnnot",
             children=(

@@ -28,6 +28,7 @@ from gmtannot import (
     resolve_seg,
     tokenize_whitespace,
 )
+from gmtannot import model
 from conftest import load_fixture
 from randgen import (
     DocBuilder,
@@ -111,18 +112,18 @@ def test_landmark_table_size_equals_landmark_count():
         ]
         children += [StructNode(type="W-level", id=f"w{k}") for k in range(rng.randint(0, 4))]
         rng.shuffle(children)
-        doc = GmtDocument.from_root(StructNode(type="landmarkDesc", children=tuple(children)))
+        doc = GmtDocument(StructNode(type="landmarkDesc", children=tuple(children)))
         # Oracle: count of landmark-typed nodes.
         assert len(build_landmark_table(doc)) == landmark_count
 
 
 def test_landmark_errors_name_the_node():
-    no_id = GmtDocument.from_root(
+    no_id = GmtDocument(
         StructNode(type="landmarkDesc", children=(StructNode(type="landmark"),))
     )
     with pytest.raises(AnchorError, match="/struct"):
         build_landmark_table(no_id)
-    bad_position = GmtDocument.from_root(
+    bad_position = GmtDocument(
         StructNode(
             type="landmarkDesc",
             children=(StructNode(type="landmark", id="0", items=(Feature(cat="position", text="x"),)),),
@@ -184,7 +185,7 @@ def test_resolve_unknown_target_names_the_id():
 
 
 def _layer(*ids: str) -> GmtDocument:
-    return GmtDocument.from_root(
+    return GmtDocument(
         StructNode(type="MSAnnot", children=tuple(StructNode(type="W-level", id=i) for i in ids))
     )
 
@@ -192,13 +193,13 @@ def _layer(*ids: str) -> GmtDocument:
 def test_resolve_layer_walks_each_layer_document_once(monkeypatch):
     layer = _layer(*(f"n{i}" for i in range(100)))
     walks: list[int] = []
-    real_walk = GmtDocument.walk
+    real_walk = model.walk_elements
 
-    def counting_walk(self):
-        walks.append(id(self))
-        return real_walk(self)
+    def counting_walk(doc):
+        walks.append(id(doc))
+        return real_walk(doc)
 
-    monkeypatch.setattr(GmtDocument, "walk", counting_walk)
+    monkeypatch.setattr(model, "walk_elements", counting_walk)
     for i in range(50):
         seg = SegmentRef(IdTargets((f"n{2 * i}", f"n{2 * i + 1}")))
         span = resolve_seg(seg, layers={"words": layer})

@@ -406,8 +406,7 @@ PHASE_FILES = {
     "no_position.xml": '<struct type="landmarkDesc"><struct type="landmark" id="0"/></struct>',
     "unmapped.xml": '<struct type="otherAnnot"><struct type="x"/></struct>',
     "bad.tokens": "w1\t0\n",
-    "w1.xml": '<struct type="W-level"><seg target="#w1"/><feat type="pos">NOUN</feat></struct>',
-    "w2.xml": '<struct type="W-level"><seg target="#w2"/><feat type="pos">VERB</feat></struct>',
+    "id_child.xml": '<struct type="annot"><struct type="W-level" id="n1"><seg target="#w1"/></struct></struct>',
     "regular": "",
 }
 LANDMARKS = str(FIXTURES / "landmark_desc.xml")
@@ -425,7 +424,8 @@ PHONES = str(FIXTURES / "event_anchored_phones.xml")
         (["convert", "--from", "gmt", "--to", "ag", LANDMARKS, "{d}/unmapped.xml", "-o", "{d}/out.xml"],
          1, ""),
         (["resolve", SENTENCE_XML, "--tokens", "{d}/bad.tokens"], 2, ""),
-        (["merge", "{d}/w1.xml", "{d}/w2.xml", "-o", "{d}/out.xml"], 1, ""),
+        # keep-all repeats the child's id, so the writer refuses the merge.
+        (["merge", "{d}/id_child.xml", "{d}/id_child.xml", "-o", "{d}/out.xml"], 1, "invalid document: DUPLICATE_ID"),
         (["convert", "--from", "ag", "--to", "gmt", AG_XML, AG_XML, "-o", "{d}/out"], 2, ""),
         (["merge", SENTENCE_XML, SENTENCE_XML, "-o", "{d}/regular/out.xml"], 2, ""),
         (["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{d}/regular/out"], 2, ""),

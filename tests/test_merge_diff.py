@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 
@@ -32,14 +33,16 @@ from gmtannot import (
     diff,
     merge,
     parse_gmt,
+    serialize_gmt,
 )
+from gmtannot.merge import POLICIES
 from conftest import load_fixture
 from randgen import random_mergeable_document
 
 
 def single_node_doc(*features: Feature, target: str = "w1", doc_type: str = "W-level") -> GmtDocument:
     node = StructNode(type=doc_type, items=(SegmentRef(IdTargets((target,))),) + features)
-    return GmtDocument.from_root(node)
+    return GmtDocument(node)
 
 
 def count_features(doc: GmtDocument) -> int:
@@ -70,8 +73,7 @@ def count_features(doc: GmtDocument) -> int:
         for child in node.children:
             eat_node(child)
 
-    for root in doc.roots:
-        eat_node(root)
+    eat_node(doc.root)
     return total
 
 
@@ -103,8 +105,8 @@ def test_fold_reproduces_alternatives_shape():
 
 def test_merge_disjoint_layers_keeps_everything():
     sentence, _ = parse_gmt(load_fixture("msannot_sentence.xml"))
-    words = GmtDocument.from_root(replace(sentence.root, type="annot"))
-    phrases = GmtDocument.from_root(
+    words = GmtDocument(replace(sentence.root, type="annot"))
+    phrases = GmtDocument(
         StructNode(
             type="annot",
             children=(
@@ -130,10 +132,10 @@ def test_merge_rejects_mixed_doc_types():
 def test_merge_rejects_mixed_addressing_modes_for_one_anchor():
     span = SegmentRef(PositionalSpan(0, 5))
     ids = SegmentRef(IdTargets(("w1",)))
-    a = GmtDocument.from_root(
+    a = GmtDocument(
         StructNode(type="annot", children=(StructNode(type="W-level", items=(ids, span)),))
     )
-    b = GmtDocument.from_root(
+    b = GmtDocument(
         StructNode(type="annot", children=(StructNode(type="W-level", items=(span, ids)),))
     )
     with pytest.raises(MergeError, match="mixed modes"):
@@ -201,7 +203,7 @@ def test_fold_keeps_extras_in_per_source_brackets():
             Relation(target="n7", rel_type="dep"),
         ),
     )
-    right = GmtDocument.from_root(right_node)
+    right = GmtDocument(right_node)
     merged = merge([left, right], MergePolicy(FOLD_TO_ALT))
     node = merged.root
     brackets = [i for i in node.items if isinstance(i, Bracket)]
@@ -210,19 +212,34 @@ def test_fold_keeps_extras_in_per_source_brackets():
 
 def test_fold_falls_back_for_nodes_with_children():
     child = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w2",))),))
-    left = GmtDocument.from_root(
+    left = GmtDocument(
         StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))),), children=(child,))
     )
     right = single_node_doc(Feature(cat="pos", text="NOUN"))
     warnings: list[str] = []
     merged = merge([left, right], MergePolicy(FOLD_TO_ALT), warnings)
-    assert len(merged.roots) == 2
+    # Both roots stay, side by side under a container root of the document type.
+    assert merged.root == StructNode(type="W-level", children=(left.root, right.root))
     assert warnings and "fold" in warnings[0]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_merge_of_anchored_roots_round_trips(policy):
+    docs = [
+        parse_gmt(load_fixture(name))[0]
+        for name in ("msannot_alternatives_bouche.xml", "msannot_fusion_du.xml")
+    ]
+    merged = merge(docs, MergePolicy(policy))
+    assert merged.root == StructNode(type="W-level", children=tuple(doc.root for doc in docs))
+    text = serialize_gmt(merged)
+    again, _ = parse_gmt(text)
+    assert again == merged
+    assert serialize_gmt(again) == text
 
 
 def test_anchorless_nodes_pass_through_with_warning():
     bare = StructNode(type="W-level", items=(Feature(cat="lemma", text="x"),))
-    doc = GmtDocument.from_root(StructNode(type="annot", children=(bare,)))
+    doc = GmtDocument(StructNode(type="annot", children=(bare,)))
     warnings: list[str] = []
     merged = merge([doc, doc], MergePolicy(DEDUP_IDENTICAL), warnings)
     assert len(merged.root.children) == 2
@@ -232,7 +249,7 @@ def test_anchorless_nodes_pass_through_with_warning():
 def test_segless_nodes_group_by_child_fingerprint():
     inner = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))),))
     wrapper = StructNode(type="phrase", children=(inner,))
-    doc = GmtDocument.from_root(StructNode(type="annot", children=(wrapper,)))
+    doc = GmtDocument(StructNode(type="annot", children=(wrapper,)))
     merged = merge([doc, doc], MergePolicy(DEDUP_IDENTICAL))
     assert merged == doc
 
@@ -258,7 +275,7 @@ def test_diff_single_edit_names_the_category():
         else item
         for item in target.items
     )
-    edited = GmtDocument.from_root(
+    edited = GmtDocument(
         replace(doc.root, children=(doc.root.children[0], replace(target, items=edited_items)) + doc.root.children[2:])
     )
     report = diff(doc, edited)
@@ -272,7 +289,7 @@ def test_diff_single_edit_names_the_category():
 
 def test_diff_against_empty_is_only_left():
     doc, _ = parse_gmt(load_fixture("msannot_sentence.xml"))
-    empty = GmtDocument.from_root(StructNode(type="MSAnnot"))
+    empty = GmtDocument(StructNode(type="MSAnnot"))
     report = diff(doc, empty)
     assert len(report.entries) == 4
     assert all(e.status == ONLY_LEFT for e in report.entries)
@@ -303,7 +320,7 @@ def test_diff_covers_every_anchored_node_once():
 
 
 def test_diff_rendering_is_sorted_and_tab_separated():
-    left = GmtDocument.from_root(
+    left = GmtDocument(
         StructNode(
             type="annot",
             children=(
@@ -312,12 +329,29 @@ def test_diff_rendering_is_sorted_and_tab_separated():
             ),
         )
     )
-    right = GmtDocument.from_root(StructNode(type="annot"))
+    right = GmtDocument(StructNode(type="annot"))
     lines = diff(left, right).render().splitlines()
     assert lines == [
         f"{ONLY_LEFT}\tids:a\t1 node(s) of type W-level",
         f"{ONLY_LEFT}\tids:b\t1 node(s) of type W-level",
     ]
+
+
+def test_diff_of_a_deep_segless_chain_stays_small():
+    # A chain of segless nodes below an anchored node is fingerprinted as
+    # nested multisets, whose size grows linearly with the depth.
+    chain = StructNode(type="c", items=(Feature(cat="lemma", text="it's \"x\""),))
+    for _ in range(17):
+        chain = StructNode(type="c", items=(Feature(cat="lemma", text="it's \"x\""),), children=(chain,))
+    doc = GmtDocument(StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))),), children=(chain,)))
+    tracemalloc.start()
+    try:
+        report = diff(doc, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_equal and len(report.entries) == 1
+    assert peak < 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +360,7 @@ def test_diff_rendering_is_sorted_and_tab_separated():
 
 def _anchored_doc(addr) -> GmtDocument:
     word = StructNode(type="W-level", items=(SegmentRef(addr), Feature(cat="pos", text="NOUN")))
-    return GmtDocument.from_root(StructNode(type="annot", children=(word,)))
+    return GmtDocument(StructNode(type="annot", children=(word,)))
 
 
 @pytest.mark.parametrize(

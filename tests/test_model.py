@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 from decimal import Decimal
@@ -51,27 +52,29 @@ def test_validate_sentence_fixture_is_clean():
     assert validate_structure(doc).findings == ()
 
 
-def test_validate_zero_roots_is_vacuously_valid():
-    assert validate_structure(GmtDocument(doc_type="MSAnnot")).findings == ()
+def test_validate_root_without_items_is_clean():
+    assert validate_structure(GmtDocument(StructNode(type="MSAnnot"))).findings == ()
+    assert validate_structure(GmtDocument(StructNode())).findings == ()
 
 
-def test_validate_doc_type_mismatch_is_a_warning():
-    doc = GmtDocument(doc_type="MSAnnot", roots=(StructNode(type="other"),))
-    report = validate_structure(doc)
-    assert [f.code for f in report.findings] == ["DOCTYPE_MISMATCH"]
-    assert report.ok  # warnings only
+def test_doc_type_is_the_root_type():
+    assert GmtDocument(StructNode(type="x")).doc_type == "x"
+    assert GmtDocument(StructNode()).doc_type == ""
+    with pytest.raises(AttributeError):
+        GmtDocument(StructNode(type="x")).doc_type = "y"  # type: ignore[misc]
 
 
-def test_root_property_requires_single_root():
-    with pytest.raises(ValueError):
-        GmtDocument(doc_type="x").root
-    with pytest.raises(ValueError):
-        GmtDocument(doc_type="x", roots=(StructNode(), StructNode())).root
+def test_roots_is_the_root_alone():
+    root = StructNode(type="x", children=(StructNode(type="y"),))
+    doc = GmtDocument(root)
+    assert doc.root is root
+    assert doc.roots == (root,)
+    assert [f.name for f in dataclasses.fields(GmtDocument)] == ["root"]
 
 
 def test_validate_duplicate_id():
     # Oracle: a set-membership scan over all ids finds exactly one repeat.
-    doc = GmtDocument.from_root(
+    doc = GmtDocument(
         StructNode(
             type="MSAnnot",
             children=(
@@ -93,7 +96,7 @@ def test_validate_feature_value_forms():
             Feature(cat="pos", text="NOUN", target="x"),
         )
     )
-    codes = [f.code for f in validate_structure(GmtDocument.from_root(bad)).findings]
+    codes = [f.code for f in validate_structure(GmtDocument(bad)).findings]
     assert codes == ["FEATURE_NO_VALUE", "FEATURE_MULTIPLE_VALUES"]
 
 
@@ -109,7 +112,7 @@ def test_validate_singleton_alt_and_bad_confidence():
             ),
         )
     )
-    codes = [f.code for f in validate_structure(GmtDocument.from_root(node)).findings]
+    codes = [f.code for f in validate_structure(GmtDocument(node)).findings]
     assert codes == ["SINGLETON_ALT", "BAD_CONFIDENCE", "BAD_CONFIDENCE"]
 
 
@@ -121,7 +124,7 @@ def test_validate_segment_invariants():
             SegmentRef(PositionalSpan(9, 3)),
         )
     )
-    codes = [f.code for f in validate_structure(GmtDocument.from_root(node)).findings]
+    codes = [f.code for f in validate_structure(GmtDocument(node)).findings]
     assert codes == ["EMPTY_TARGETS", "DUPLICATE_TARGET", "INVERTED_SPAN"]
 
 
@@ -158,7 +161,7 @@ def test_find_node_agrees_with_preorder_scan():
     rng = random.Random(11)
     builder = DocBuilder(rng)
     nodes = [builder.node(depth=1) for _ in range(40)]
-    doc = GmtDocument.from_root(StructNode(type="MSAnnot", children=tuple(nodes)))
+    doc = GmtDocument(StructNode(type="MSAnnot", children=tuple(nodes)))
 
     # Oracle: an explicit stack-based preorder scan, independent of walk().
     def scan(node: StructNode, wanted: str):
@@ -185,7 +188,7 @@ def test_find_node_returns_first_of_duplicate_ids():
     nested = StructNode(type="morph", id="x", items=(Feature(cat="pos", text="NOUN"),))
     later = StructNode(type="W-level", id="x")
     alts = AltSet(((nested,), (Feature(cat="pos", text="VERB"),)))
-    doc = GmtDocument.from_root(
+    doc = GmtDocument(
         StructNode(type="MSAnnot", children=(StructNode(items=(alts,)), later))
     )
     assert find_node(doc, "x") is nested
@@ -215,7 +218,7 @@ def test_collect_referenced_ids_targets():
 
 
 def test_collect_referenced_ids_empty():
-    doc = GmtDocument.from_root(StructNode(type="MSAnnot", children=(StructNode(id="a"),)))
+    doc = GmtDocument(StructNode(type="MSAnnot", children=(StructNode(id="a"),)))
     assert collect_referenced_ids(doc) == set()
 
 
@@ -261,8 +264,7 @@ def test_collect_referenced_ids_matches_exhaustive_walk():
             for child in node.children:
                 eat_node(child)
 
-        for root in doc.roots:
-            eat_node(root)
+        eat_node(doc.root)
         assert collect_referenced_ids(doc) == expected
 
 
@@ -272,8 +274,8 @@ def test_collect_referenced_ids_is_monotone():
         type="W-level",
         items=(SegmentRef(IdTargets(("w1",))), Relation(target="n9")),
     )
-    before = collect_referenced_ids(GmtDocument.from_root(base))
-    after = collect_referenced_ids(GmtDocument.from_root(grown))
+    before = collect_referenced_ids(GmtDocument(base))
+    after = collect_referenced_ids(GmtDocument(grown))
     assert before <= after
 
 
@@ -341,7 +343,7 @@ def test_non_finite_confidence_is_bad_and_counts_as_zero(text):
     bad = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", text=text))
     good = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.1"))
     node = StructNode(type="W-level", items=(AltSet((bad, good)),))
-    codes = [f.code for f in validate_structure(GmtDocument.from_root(node)).findings]
+    codes = [f.code for f in validate_structure(GmtDocument(node)).findings]
     assert codes == ["BAD_CONFIDENCE"]
     assert bundle_confidence(bad) == 0
     assert select_preferred_alternative(AltSet((bad, good))) == good
@@ -352,5 +354,5 @@ def test_finite_confidence_above_one_still_ranks():
     quiet = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.9"))
     assert bundle_confidence(loud) == 5
     assert select_preferred_alternative(AltSet((quiet, loud))) == loud
-    codes = [f.code for f in validate_structure(GmtDocument.from_root(StructNode(items=(AltSet((quiet, loud)),)))).findings]
+    codes = [f.code for f in validate_structure(GmtDocument(StructNode(items=(AltSet((quiet, loud)),)))).findings]
     assert codes == ["BAD_CONFIDENCE"]

@@ -71,14 +71,14 @@ class FaultyBuilder(DocBuilder):
 def faulty_document(rng: random.Random) -> GmtDocument:
     builder = FaultyBuilder(rng)
     children = tuple(builder.node(depth=1) for _ in range(rng.randint(1, 5)))
-    return GmtDocument.from_root(StructNode(type="MSAnnot", children=children))
+    return GmtDocument(StructNode(type="MSAnnot", children=children))
 
 
 def nested_alt_document() -> GmtDocument:
     """A ``<struct>`` inside an ``<alt>``, under a child of the root."""
     inner = StructNode(type="x", items=(Feature("mood", "irrealis"), Relation("")))
     alts = AltSet(((Feature("pos", "N"), inner), (Feature("pos", "V"),)))
-    return GmtDocument.from_root(StructNode(type="MSAnnot", children=(StructNode(items=(alts,)),)))
+    return GmtDocument(StructNode(type="MSAnnot", children=(StructNode(items=(alts,)),)))
 
 
 def documents() -> list[GmtDocument]:
@@ -107,8 +107,7 @@ def legacy_walk_paths(doc: GmtDocument) -> list[tuple[str, int]]:
         for j, child in enumerate(node.children, 1):
             visit(f"{path}/struct[{j}]", child)
 
-    for i, root in enumerate(doc.roots, 1):
-        visit(f"/struct[{i}]", root)
+    visit("/struct[1]", doc.root)
     return out
 
 
@@ -118,7 +117,7 @@ def legacy_walk_paths(doc: GmtDocument) -> list[tuple[str, int]]:
 
 def test_nested_alt_struct_reports_each_finding_once():
     alts = AltSet(((Feature("pos", "N"), StructNode(type="x", items=(Relation(""),))), (Feature("pos", "V"),)))
-    report = validate_structure(GmtDocument.from_root(StructNode(type="W-level", items=(alts,))))
+    report = validate_structure(GmtDocument(StructNode(type="W-level", items=(alts,))))
     assert [(f.code, f.path) for f in report.findings] == [
         ("EMPTY_TARGET", "/struct[1]/alt[1]/struct[1]/rel[1]")
     ]
@@ -194,9 +193,9 @@ def test_nodes_in_bracketed_alternatives_are_walked_and_checked():
     inner = StructNode(type="morph", id="m1")
     alts = AltSet(((inner,), (Feature("pos", "V"),)))
     node = StructNode(type="W-level", id="m1", items=(Bracket((Feature("lemma", "x"), alts)),))
-    doc = GmtDocument.from_root(node)
+    doc = GmtDocument(node)
     assert [path for path, _ in doc.walk()] == ["/struct[1]", "/struct[1]/brack[1]/alt[1]/struct[1]"]
-    assert find_node(GmtDocument.from_root(StructNode(items=node.items)), "m1") is inner
+    assert find_node(GmtDocument(StructNode(items=node.items)), "m1") is inner
     report = validate_structure(doc)
     assert [(f.code, f.path) for f in report.findings] == [
         ("DUPLICATE_ID", "/struct[1]/brack[1]/alt[1]/struct[1]")
@@ -207,7 +206,7 @@ def test_singleton_alt_points_at_its_first_alt():
     first = AltSet(((Feature("pos", "N"),), (Feature("pos", "V"),)))
     single = AltSet(((Feature("pos", "D"),),))
     node = StructNode(type="W-level", items=(first, Feature("lemma", "x"), single))
-    report = validate_structure(GmtDocument.from_root(node))
+    report = validate_structure(GmtDocument(node))
     assert [(f.code, f.path) for f in report.findings] == [("SINGLETON_ALT", "/struct[1]/alt[3]")]
 
 

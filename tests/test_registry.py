@@ -152,39 +152,39 @@ def test_sentence_fixture_is_category_clean():
 
 
 def test_unknown_category_is_flagged():
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="colour", text="red"),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="colour", text="red"),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["UNKNOWN_CATEGORY"]
 
 
 def test_confidence_out_of_range():
     # Oracle: decimal parse of "1.4" against the declared range 0..1.
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="confidence", text="1.4"),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="confidence", text="1.4"),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_OUT_OF_RANGE"]
 
 
 def test_confidence_not_decimal():
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="confidence", text="high"),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="confidence", text="high"),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
 
 
 @pytest.mark.parametrize("text", ["NaN", "sNaN", "-nan"])
 def test_confidence_nan_is_not_decimal(text):
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="confidence", text=text),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="confidence", text=text),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
 
 
 def test_closed_set_violation():
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="pos", text="ADJ"),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="pos", text="ADJ"),)))
     report = validate_categories(doc, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_NOT_IN_SET"]
 
 
 def test_node_types_are_not_registry_checked():
-    doc = GmtDocument.from_root(StructNode(type="totally-free-type"))
+    doc = GmtDocument(StructNode(type="totally-free-type"))
     assert validate_categories(doc, default_registry()).findings == ()
 
 
@@ -208,13 +208,13 @@ def test_features_inside_alternatives_are_checked():
 
 def test_alias_validation_equals_canonical_rename():
     reg = load_registry("pos kind=set:NOUN,VERB alias=POS\n")
-    aliased = GmtDocument.from_root(StructNode(items=(Feature(cat="POS", text="NOUN"),)))
-    renamed = GmtDocument.from_root(StructNode(items=(Feature(cat="pos", text="NOUN"),)))
+    aliased = GmtDocument(StructNode(items=(Feature(cat="POS", text="NOUN"),)))
+    renamed = GmtDocument(StructNode(items=(Feature(cat="pos", text="NOUN"),)))
     assert (
         validate_categories(aliased, reg).findings == validate_categories(renamed, reg).findings == ()
     )
-    aliased_bad = GmtDocument.from_root(StructNode(items=(Feature(cat="POS", text="X"),)))
-    renamed_bad = GmtDocument.from_root(StructNode(items=(Feature(cat="pos", text="X"),)))
+    aliased_bad = GmtDocument(StructNode(items=(Feature(cat="POS", text="X"),)))
+    renamed_bad = GmtDocument(StructNode(items=(Feature(cat="pos", text="X"),)))
     assert [f.code for f in validate_categories(aliased_bad, reg).findings] == [
         f.code for f in validate_categories(renamed_bad, reg).findings
     ] == ["VALUE_NOT_IN_SET"]
@@ -222,7 +222,7 @@ def test_alias_validation_equals_canonical_rename():
 
 def test_reference_kind_expects_target():
     reg = load_registry("entry kind=ref\n")
-    good = GmtDocument.from_root(StructNode(items=(Feature(cat="entry", target="lex1"),)))
+    good = GmtDocument(StructNode(items=(Feature(cat="entry", target="lex1"),)))
     assert validate_categories(good, reg).findings == ()
-    bad = GmtDocument.from_root(StructNode(items=(Feature(cat="entry", text="lex1"),)))
+    bad = GmtDocument(StructNode(items=(Feature(cat="entry", text="lex1"),)))
     assert [f.code for f in validate_categories(bad, reg).findings] == ["VALUE_KIND_MISMATCH"]

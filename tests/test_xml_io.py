@@ -48,7 +48,7 @@ def test_parse_empty_root():
     doc, diagnostics = parse_gmt('<struct type="MSAnnot"/>')
     assert diagnostics.warnings == ()
     assert doc.doc_type == "MSAnnot"
-    assert doc.roots == (StructNode(type="MSAnnot"),)
+    assert doc.root == StructNode(type="MSAnnot")
 
 
 def test_parse_fusion_fixture():
@@ -186,12 +186,12 @@ def test_entities_round_trip():
 
 
 def test_serialize_empty_document_is_self_closed():
-    text = serialize_gmt(GmtDocument.from_root(StructNode(type="MSAnnot")))
+    text = serialize_gmt(GmtDocument(StructNode(type="MSAnnot")))
     assert text == '<?xml version="1.0" encoding="UTF-8"?>\n<struct type="MSAnnot"/>\n'
 
 
 def test_serialize_refuses_invalid_document():
-    doc = GmtDocument.from_root(StructNode(items=(Feature(cat="lemma"),)))
+    doc = GmtDocument(StructNode(items=(Feature(cat="lemma"),)))
     with pytest.raises(GmtSerializeError) as exc:
         serialize_gmt(doc)
     assert "FEATURE_NO_VALUE" in str(exc.value)
@@ -206,16 +206,19 @@ def test_serialize_refuses_invalid_document():
 )
 def test_serialize_refuses_an_empty_nested_value(feature, code):
     # Written out, an empty nested value would reparse as text=''.
-    doc = GmtDocument.from_root(StructNode(type="W-level", items=(feature,)))
+    doc = GmtDocument(StructNode(type="W-level", items=(feature,)))
     with pytest.raises(GmtSerializeError) as exc:
         serialize_gmt(doc)
     assert code in str(exc.value)
 
 
-def test_serialize_refuses_multiple_roots():
-    doc = GmtDocument(doc_type="x", roots=(StructNode(), StructNode()))
-    with pytest.raises(GmtSerializeError):
-        serialize_gmt(doc)
+def test_serialize_untyped_root_round_trips():
+    doc = GmtDocument(StructNode())
+    text = serialize_gmt(doc)
+    assert text == '<?xml version="1.0" encoding="UTF-8"?>\n<struct/>\n'
+    again, _ = parse_gmt(text)
+    assert again == doc
+    assert again.doc_type == ""
 
 
 def test_canonical_attribute_order_and_pointer_forms():
@@ -228,7 +231,7 @@ def test_canonical_attribute_order_and_pointer_forms():
             SegmentRef(IdTargets(("w2", "w3"))),
         ),
     )
-    text = serialize_gmt(GmtDocument.from_root(node))
+    text = serialize_gmt(GmtDocument(node))
     assert '<struct type="W-level" id="a" ref="#b">' in text
     assert '<seg target="#w1"/>' in text
     assert '<seg targets="w2 w3"/>' in text
@@ -259,7 +262,7 @@ def test_alt_inside_bracket_round_trips():
             ),
         )
     )
-    doc = GmtDocument.from_root(node)
+    doc = GmtDocument(node)
     again, _ = parse_gmt(serialize_gmt(doc))
     assert again == doc
 
