@@ -18,7 +18,14 @@ endsAt      target                                                landmark span 
 
 Any other element with pure text content is read as a Feature whose
 category is the element name; other unknown elements produce a warning
-and are skipped with their whole subtree.
+and are skipped with their whole subtree.  An external entity is never
+fetched: it reads as empty text, with a warning.
+
+The reader holds no reference cycle, so a parsed document is freed by
+reference counting as soon as its caller drops it, without waiting for
+the cyclic collector.  Within one document, equal leaf features (same
+category, same text, no nested value) are one shared object; the model
+is immutable, so ``==``, paths and the writer cannot tell.
 
 Serialization is canonical: UTF-8 with an XML declaration, two-space
 indentation, fixed attribute order (type, id, ref, then addressing),
@@ -89,6 +96,9 @@ class _AltRun:
 
 
 class _Frame:
+    __slots__ = ("tag", "attrs", "line", "column", "text_parts", "items", "children",
+                 "nested", "bundle", "alt_run_open", "saw_elements", "pending_seg")
+
     def __init__(self, tag: str, attrs: dict[str, str], line: int, column: int):
         self.tag = tag
         self.attrs = attrs
@@ -104,19 +114,23 @@ class _Frame:
         self.pending_seg: Optional[SegmentRef] = None
 
 
-class _GmtBuilder:
-    _ITEM_CONTAINERS = ("struct", "brack", "seg")
+_ITEM_CONTAINERS = ("struct", "brack", "seg")
+_SEG_ATTRS = frozenset(("target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"))
 
+
+class _GmtBuilder:
     def __init__(self) -> None:
         self.stack: list[_Frame] = []
         self.warnings: list[ParseWarning] = []
         self.root: Optional[StructNode] = None
         self.skip_depth = 0
+        self.leaves: dict[tuple[str, str], Feature] = {}  # equal text features, shared
         self.parser = expat.ParserCreate()
         self.parser.buffer_text = True
         self.parser.StartElementHandler = self._start
         self.parser.EndElementHandler = self._end
         self.parser.CharacterDataHandler = self._text
+        self.parser.ExternalEntityRefHandler = self._external_entity
 
     # -- position helpers
 
@@ -182,11 +196,11 @@ class _GmtBuilder:
         if text.strip() and frame.saw_elements:
             self._warn(f"<{tag}> mixes text with child elements; text ignored", (frame.line, frame.column))
             text = ""
-        handler = getattr(self, f"_close_{tag}", None)
-        if handler is not None:
-            handler(frame, parent, text)
-        else:
-            self._close_unknown(frame, parent, text)
+        _CLOSERS.get(tag, _GmtBuilder._close_unknown)(self, frame, parent, text)
+
+    def _external_entity(self, name: str, base: Optional[str], system_id: str, public_id: Optional[str]) -> int:
+        self._warn(f"external entity '{name}' (system id '{system_id}') not fetched; read as empty")
+        return 1
 
     # -- element closers
 
@@ -221,7 +235,18 @@ class _GmtBuilder:
         else:
             parent.children.append(node)
 
+    def _leaf(self, cat: str, text: str) -> Feature:
+        feat = self.leaves.get((cat, text))
+        if feat is None:
+            feat = self.leaves[cat, text] = Feature(cat=cat, text=text)
+        return feat
+
     def _close_feat(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+        attrs = frame.attrs
+        if len(attrs) == 1 and "type" in attrs and not frame.nested and parent.tag in _ITEM_CONTAINERS:
+            parent.items.append(self._leaf(attrs["type"], text.strip()))
+            parent.alt_run_open = False
+            return
         cat = frame.attrs.get("type")
         if cat is None:
             self._warn("<feat> without a type attribute", (frame.line, frame.column))
@@ -232,28 +257,28 @@ class _GmtBuilder:
                 self._warn(f"unknown attribute '{name}' on <feat>; ignored", (frame.line, frame.column))
         if target is not None and text.strip():
             self._warn("<feat> carries both a target and text; text ignored", (frame.line, frame.column))
-        feat = Feature(
-            cat=cat,
-            text=None if (frame.nested or target is not None) else text.strip(),
-            nested=tuple(frame.nested) if frame.nested else None,
-            target=strip_pointer(target) if target is not None else None,
-        )
+        if frame.nested or target is not None:
+            feat = Feature(
+                cat=cat,
+                nested=tuple(frame.nested) if frame.nested else None,
+                target=strip_pointer(target) if target is not None else None,
+            )
+        else:
+            feat = self._leaf(cat, text.strip())
         self._emit_feature(feat, parent)
 
-    def _emit_feature(self, feat: Feature, parent: Optional[_Frame]) -> None:
-        if parent is None:
-            return
+    def _emit_feature(self, feat: Feature, parent: _Frame) -> None:
         if parent.tag == "feat":
             parent.nested.append(feat)
         elif parent.tag == "alt":
             parent.bundle.append(feat)
-        elif parent.tag in self._ITEM_CONTAINERS:
+        elif parent.tag in _ITEM_CONTAINERS:
             self._append_item(parent, feat)
 
     def _close_alt(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
         if text.strip():
             self._warn("<alt> contains stray text; ignored", (frame.line, frame.column))
-        if parent is None or parent.tag not in self._ITEM_CONTAINERS:
+        if parent is None or parent.tag not in _ITEM_CONTAINERS:
             self._warn("<alt> outside a node; ignored", (frame.line, frame.column))
             return
         bundle = tuple(frame.bundle)
@@ -271,7 +296,7 @@ class _GmtBuilder:
             self._warn("<rel> without a target; skipped", (frame.line, frame.column))
             return
         rel = Relation(target=strip_pointer(target), rel_type=frame.attrs.get("type"))
-        if parent is not None and parent.tag in self._ITEM_CONTAINERS:
+        if parent is not None and parent.tag in _ITEM_CONTAINERS:
             self._append_item(parent, rel)
 
     def _close_seg(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
@@ -305,18 +330,12 @@ class _GmtBuilder:
         if frame.children:
             self._warn("<brack> cannot group nodes; nodes attached to the enclosing node", (frame.line, frame.column))
         brack = Bracket(members=self._finish_items(frame))
-        if parent is not None and parent.tag in self._ITEM_CONTAINERS:
+        if parent is not None and parent.tag in _ITEM_CONTAINERS:
             self._append_item(parent, brack)
             if frame.children:
                 self._enclosing_struct(parent).children.extend(frame.children)
 
-    def _close_startsAt(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        self._close_endpoint("start", frame, parent, text)
-
-    def _close_endsAt(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        self._close_endpoint("end", frame, parent, text)
-
-    def _close_endpoint(self, kind: str, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_endpoint(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
         target = frame.attrs.get("target")
         if target is None:
             self._close_unknown(frame, parent, text)
@@ -324,6 +343,7 @@ class _GmtBuilder:
         if parent is None or parent.tag not in ("struct", "brack"):
             self._warn(f"<{frame.tag}> in an unexpected position; ignored", (frame.line, frame.column))
             return
+        kind = "start" if frame.tag == "startsAt" else "end"
         self._append_item(parent, _EndpointMark(kind, strip_pointer(target), frame.line, frame.column))
 
     def _close_unknown(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
@@ -332,7 +352,7 @@ class _GmtBuilder:
             return
         # Leaf elements outside the core tag set are read as features named
         # by the element, which keeps landmark descriptions parseable.
-        self._emit_feature(Feature(cat=frame.tag, text=text.strip()), parent)
+        self._emit_feature(self._leaf(frame.tag, text.strip()), parent)
 
     # -- item plumbing
 
@@ -367,9 +387,8 @@ class _GmtBuilder:
         return tuple(items)
 
     def _read_seg(self, attrs: dict[str, str], frame: _Frame) -> SegmentRef:
-        known = {"target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"}
         for name in attrs:
-            if name not in known:
+            if name not in _SEG_ATTRS:
                 self._warn(f"unknown attribute '{name}' on <seg>; ignored", (frame.line, frame.column))
         id_mode = "target" in attrs or "targets" in attrs
         start_raw = self._positional_attr(attrs, "startsAt", "startPosition", frame)
@@ -414,8 +433,17 @@ class _GmtBuilder:
             raise GmtParseError(
                 expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
             ) from exc
+        finally:
+            self.parser = None  # its handlers are bound methods: drop the cycle through self
         assert self.root is not None
         return GmtDocument(self.root), ParseDiagnostics(tuple(self.warnings))
+
+
+_CLOSERS = {
+    "struct": _GmtBuilder._close_struct, "feat": _GmtBuilder._close_feat, "alt": _GmtBuilder._close_alt,
+    "rel": _GmtBuilder._close_rel, "seg": _GmtBuilder._close_seg, "brack": _GmtBuilder._close_brack,
+    "startsAt": _GmtBuilder._close_endpoint, "endsAt": _GmtBuilder._close_endpoint,
+}
 
 
 def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:

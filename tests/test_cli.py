@@ -79,6 +79,29 @@ def test_validate_with_custom_registry(tmp_path, capsys):
     assert main(["validate", str(doc), "--registry", str(registry)]) == 0
 
 
+def test_validate_warns_on_an_external_entity(tmp_path, capsys):
+    doc = tmp_path / "ext.xml"
+    doc.write_text(
+        '<!DOCTYPE struct [<!ENTITY ext SYSTEM "file:///etc/hostname">]>\n'
+        '<struct type="MSAnnot">\n  <feat type="lemma">&ext;</feat>\n</struct>\n'
+    )
+    assert main(["validate", str(doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{doc}:3:22: external entity 'ext' (system id 'file:///etc/hostname') not fetched; read as empty"
+    ]
+
+
+def test_validate_refuses_billion_laughs(tmp_path, capsys):
+    entities = "".join(f'<!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">' for i in range(1, 10))
+    doc = tmp_path / "lol.xml"
+    doc.write_text(f'<!DOCTYPE struct [<!ENTITY lol0 "lol">{entities}]>\n<struct><feat type="lemma">&lol9;</feat></struct>')
+    assert main(["validate", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gmtannot: ")
+
+
 # ---------------------------------------------------------------------------
 # convert
 

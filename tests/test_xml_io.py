@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,9 +20,12 @@ from gmtannot import (
     PositionalSpan,
     SegmentRef,
     StructNode,
+    default_registry,
     parse_gmt,
     serialize_gmt,
+    validate_categories,
 )
+from gmtannot.model import walk_elements
 from conftest import load_fixture
 from randgen import random_document
 
@@ -276,3 +281,125 @@ def test_round_trip_500_random_documents():
         assert again == doc
         assert diagnostics.warnings == ()
         assert serialize_gmt(again) == text
+
+
+# ---------------------------------------------------------------------------
+# external entities
+
+
+def test_external_entity_warns_and_reads_as_empty():
+    doc, diagnostics = parse_gmt(
+        '<!DOCTYPE struct [<!ENTITY ext SYSTEM "file:///etc/hostname">]>\n'
+        '<struct><feat type="lemma">&ext;</feat></struct>'
+    )
+    assert doc.root.items == (Feature(cat="lemma", text=""),)
+    assert diagnostics.warnings == (
+        (2, 28, "external entity 'ext' (system id 'file:///etc/hostname') not fetched; read as empty"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# a parsed document is freed by reference counting
+
+
+@pytest.fixture
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_parsed_document_dies_with_its_last_reference(gc_disabled):
+    doc, _ = parse_gmt(load_fixture("msannot_compound_pomme.xml"))
+    root = weakref.ref(doc.root)
+    del doc
+    assert root() is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        load_fixture("msannot_sentence.xml"),
+        "<struct><feat></struct>",  # malformed XML
+        '<struct><feat type="pos">N</feat><seg target="#w1" startsAt="0" endsAt="5"/></struct>',
+    ],
+    ids=["valid", "malformed", "mixed-addressing"],
+)
+def test_parse_leaves_no_cyclic_garbage(gc_disabled, text):
+    try:
+        parse_gmt(text)
+    except GmtParseError:
+        pass
+    assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# equal leaf features are shared within a parse, invisibly
+
+SHARED_TEXT = """<?xml version="1.0" encoding="UTF-8"?>
+<struct type="MSAnnot">
+  <struct type="W-level" id="w1">
+    <feat type="pos">NOUN</feat>
+    <feat type="colour">red</feat>
+    <feat type="agr">
+      <feat type="num">sg</feat>
+    </feat>
+  </struct>
+  <struct type="W-level" id="w2">
+    <feat type="pos">NOUN</feat>
+    <feat type="colour">red</feat>
+    <feat type="agr">
+      <feat type="num">sg</feat>
+    </feat>
+  </struct>
+</struct>
+"""
+
+
+def _hand_built_shared_document() -> GmtDocument:
+    def word(node_id):
+        return StructNode(
+            type="W-level",
+            id=node_id,
+            items=(
+                Feature(cat="pos", text="NOUN"),
+                Feature(cat="colour", text="red"),
+                Feature(cat="agr", nested=(Feature(cat="num", text="sg"),)),
+            ),
+        )
+
+    return GmtDocument(StructNode(type="MSAnnot", children=(word("w1"), word("w2"))))
+
+
+def test_shared_leaf_features_are_invisible():
+    doc, diagnostics = parse_gmt(SHARED_TEXT)
+    first, second = doc.root.children
+    assert diagnostics.warnings == ()
+    assert first.items[0] is second.items[0]  # the sharing happens
+    hand = _hand_built_shared_document()
+    assert hand.root.children[0].items[0] is not hand.root.children[1].items[0]
+    assert doc == hand and hash(doc) == hash(hand)
+    assert serialize_gmt(doc) == serialize_gmt(hand) == SHARED_TEXT
+
+
+def test_shared_leaf_features_get_one_finding_each():
+    doc, _ = parse_gmt(SHARED_TEXT)
+    findings = validate_categories(doc, default_registry()).findings
+    assert findings == validate_categories(_hand_built_shared_document(), default_registry()).findings
+    assert [(f.code, f.path) for f in findings] == [
+        ("UNKNOWN_CATEGORY", f"/struct[1]/struct[{w}]/{path}")
+        for w in (1, 2)
+        for path in ("feat[2]", "feat[3]", "feat[3]/feat[1]")
+    ]
+
+
+def test_nested_features_keep_their_own_identity_as_owners():
+    doc, _ = parse_gmt(SHARED_TEXT)
+    outer = [w.items[2] for w in doc.root.children]
+    assert outer[0] is not outer[1]
+    assert outer[0].nested[0] is outer[1].nested[0]
+    owners = [owner for _, owner, element in walk_elements(doc) if getattr(element, "cat", None) == "num"]
+    assert owners[0] is outer[0] and owners[1] is outer[1]
