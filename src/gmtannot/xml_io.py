@@ -19,7 +19,8 @@ endsAt      target                                                landmark span 
 Any other element with pure text content is read as a Feature whose
 category is the element name; other unknown elements produce a warning
 and are skipped with their whole subtree.  An external entity is never
-fetched: it reads as empty text, with a warning.
+fetched: it reads as empty text, with a warning, and so does a reference
+to an entity whose declaration expat did not read.
 
 The reader holds no reference cycle, so a parsed document is freed by
 reference counting as soon as its caller drops it, without waiting for
@@ -131,6 +132,7 @@ class _GmtBuilder:
         self.parser.EndElementHandler = self._end
         self.parser.CharacterDataHandler = self._text
         self.parser.ExternalEntityRefHandler = self._external_entity
+        self.parser.SkippedEntityHandler = self._skipped_entity
 
     # -- position helpers
 
@@ -202,6 +204,10 @@ class _GmtBuilder:
         self._warn(f"external entity '{name}' (system id '{system_id}') not fetched; read as empty")
         return 1
 
+    def _skipped_entity(self, name: str, is_parameter_entity: bool) -> None:
+        # expat skips an undeclared reference, not refuses it, after an external DTD or %p;
+        self._warn(f"entity '{name}' not expanded (no declaration read); read as empty")
+
     # -- element closers
 
     def _close_struct(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
@@ -242,11 +248,6 @@ class _GmtBuilder:
         return feat
 
     def _close_feat(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        attrs = frame.attrs
-        if len(attrs) == 1 and "type" in attrs and not frame.nested and parent.tag in _ITEM_CONTAINERS:
-            parent.items.append(self._leaf(attrs["type"], text.strip()))
-            parent.alt_run_open = False
-            return
         cat = frame.attrs.get("type")
         if cat is None:
             self._warn("<feat> without a type attribute", (frame.line, frame.column))

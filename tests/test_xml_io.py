@@ -287,15 +287,25 @@ def test_round_trip_500_random_documents():
 # external entities
 
 
-def test_external_entity_warns_and_reads_as_empty():
-    doc, diagnostics = parse_gmt(
-        '<!DOCTYPE struct [<!ENTITY ext SYSTEM "file:///etc/hostname">]>\n'
-        '<struct><feat type="lemma">&ext;</feat></struct>'
-    )
+@pytest.mark.parametrize(
+    "doctype, message",
+    [
+        (
+            '<!DOCTYPE struct [<!ENTITY ext SYSTEM "file:///etc/hostname">]>',
+            "external entity 'ext' (system id 'file:///etc/hostname') not fetched; read as empty",
+        ),
+        ('<!DOCTYPE struct SYSTEM "gmt.dtd">', "entity 'ext' not expanded (no declaration read); read as empty"),
+        (
+            '<!DOCTYPE struct [<!ENTITY % p SYSTEM "p.ent"> %p; <!ENTITY ext "x">]>',
+            "entity 'ext' not expanded (no declaration read); read as empty",
+        ),
+    ],
+    ids=["external", "external-dtd-subset", "after-parameter-entity"],
+)
+def test_external_entity_warns_and_reads_as_empty(doctype, message):
+    doc, diagnostics = parse_gmt(f'{doctype}\n<struct><feat type="lemma">&ext;</feat></struct>')
     assert doc.root.items == (Feature(cat="lemma", text=""),)
-    assert diagnostics.warnings == (
-        (2, 28, "external entity 'ext' (system id 'file:///etc/hostname') not fetched; read as empty"),
-    )
+    assert diagnostics.warnings == ((2, 28, message),)
 
 
 # ---------------------------------------------------------------------------
