@@ -331,6 +331,8 @@ def _check_seg(seg: SegmentRef, path: ElementPath, out: _ReportBuilder) -> None:
         for t in addr.ids:
             if t in seen:
                 out.add(ERROR, "DUPLICATE_TARGET", path, f"duplicate target '{t}'")
+            if len(addr.ids) > 1 and (t.split() != [t] or t.startswith("#")):
+                out.add(ERROR, "BAD_TARGET", path, f"target {t!r} cannot stand in a whitespace-separated list")
             seen.add(t)
     elif isinstance(addr, PositionalSpan):
         if addr.start < 0 or addr.end < 0:

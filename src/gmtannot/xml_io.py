@@ -16,11 +16,14 @@ startsAt    target                                                landmark span 
 endsAt      target                                                landmark span end
 ==========  ====================================================  =========================
 
-Any other element with pure text content is read as a Feature whose
-category is the element name; other unknown elements produce a warning
-and are skipped with their whole subtree.  An external entity is never
-fetched: it reads as empty text, with a warning, and so does a reference
-to an entity whose declaration expat did not read.
+The reader applies it from one table, ``_ELEMENTS``: per tag, the
+attributes it reads (any other warns), the known tags it may contain and
+its closer.  Any other element with pure text content is read as a
+Feature whose category is the element name; other unknown elements
+produce a warning and are skipped with their whole subtree.  An
+external entity is never fetched: it reads as empty text, with a
+warning, and so does a reference to an entity whose declaration expat
+did not read.
 
 The reader holds no reference cycle, so a parsed document is freed by
 reference counting as soon as its caller drops it, without waiting for
@@ -33,21 +36,22 @@ indentation, fixed attribute order (type, id, ref, then addressing),
 single targets in fragment form (``target="#id"``), multiple targets as
 bare ids (``targets="id1 id2"``), positional spans as startsAt/endsAt
 attributes and landmark spans as a ``<startsAt/>``/``<endsAt/>`` element
-pair.  Feature text is emitted verbatim, so values must carry no leading
-or trailing whitespace (the parser trims them) for the round-trip
+pair.  Tab, newline and carriage return in attribute values, and
+carriage return in text, are written as character references.  Feature
+text is otherwise emitted verbatim, so values must carry no leading or
+trailing whitespace (the parser trims them) for the round-trip
 ``parse(serialize(doc)) == doc`` to hold.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional
 from xml.parsers import expat
 
 from .errors import GmtParseError, GmtSerializeError
 from .model import (
     AltSet,
     Bracket,
-    Bundle,
     Feature,
     GmtDocument,
     IdTargets,
@@ -82,48 +86,29 @@ def strip_pointer(value: str) -> str:
 # parsing
 
 
-class _EndpointMark(NamedTuple):
-    kind: str  # "start" | "end"
-    target: str
-    line: int
-    column: int
-
-
-class _AltRun:
-    """Consecutive <alt> siblings collapse into one alternative set."""
-
-    def __init__(self) -> None:
-        self.bundles: list[Bundle] = []
-
-
 class _Frame:
-    __slots__ = ("tag", "attrs", "line", "column", "text_parts", "items", "children",
-                 "nested", "bundle", "alt_run_open", "saw_elements", "pending_seg")
+    __slots__ = ("tag", "row", "attrs", "pos", "text_parts", "members", "alt_run_open", "saw_elements")
 
-    def __init__(self, tag: str, attrs: dict[str, str], line: int, column: int):
+    def __init__(self, tag: str, row: _Element, attrs: dict[str, str], pos: tuple[int, int]):
         self.tag = tag
+        self.row = row
         self.attrs = attrs
-        self.line = line
-        self.column = column
+        self.pos = pos
         self.text_parts: list[str] = []
-        self.items: list[object] = []        # raw items incl. marks and alt runs
-        self.children: list[StructNode] = []
-        self.nested: list[Feature] = []      # feat only
-        self.bundle: list[Union[Feature, StructNode]] = []  # alt only
+        # What the children's closers built, in document order: features,
+        # items, nodes, open <alt> runs (lists of bundles) and <startsAt>/
+        # <endsAt> frames waiting to be paired.  A <seg>'s first member is
+        # its own reference.
+        self.members: list = []
         self.alt_run_open = False
         self.saw_elements = False
-        self.pending_seg: Optional[SegmentRef] = None
-
-
-_ITEM_CONTAINERS = ("struct", "brack", "seg")
-_SEG_ATTRS = frozenset(("target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"))
 
 
 class _GmtBuilder:
     def __init__(self) -> None:
-        self.stack: list[_Frame] = []
+        # The bottom frame holds the document element.
+        self.stack: list[_Frame] = [_Frame("", _UNKNOWN, {}, (0, 0))]
         self.warnings: list[ParseWarning] = []
-        self.root: Optional[StructNode] = None
         self.skip_depth = 0
         self.leaves: dict[tuple[str, str], Feature] = {}  # equal text features, shared
         self.parser = expat.ParserCreate()
@@ -153,52 +138,42 @@ class _GmtBuilder:
         if self.skip_depth:
             self.skip_depth += 1
             return
-        parent = self.stack[-1] if self.stack else None
-        if parent is None:
+        parent = self.stack[-1]
+        row = _ELEMENTS.get(tag, _UNKNOWN)
+        allowed = parent.row.contains
+        if len(self.stack) == 1:
             if tag != "struct":
                 self._fail(f"document element must be <struct>, got <{tag}>")
-        elif parent.tag in ("rel", "startsAt", "endsAt"):
+        elif allowed is not None and tag not in allowed and (row is not _UNKNOWN or not allowed):
             self._warn(f"<{parent.tag}> cannot contain <{tag}>; element skipped")
             self.skip_depth = 1
             return
-        elif parent.tag == "feat" and tag not in ("feat",) and not self._is_leafish(tag):
-            self._warn(f"<feat> cannot contain <{tag}>; element skipped")
-            self.skip_depth = 1
-            return
-        elif parent.tag == "alt" and tag not in ("feat", "struct") and not self._is_leafish(tag):
-            self._warn(f"<alt> cannot contain <{tag}>; element skipped")
-            self.skip_depth = 1
-            return
-        if parent is not None:
-            parent.saw_elements = True
-            if tag != "alt":
-                parent.alt_run_open = False
-        line, column = self._pos()
-        frame = _Frame(tag, attrs, line, column)
+        parent.saw_elements = True
+        if tag != "alt":
+            parent.alt_run_open = False
+        frame = _Frame(tag, row, attrs, self._pos())
+        if row.attrs is not None:
+            for name in attrs:
+                if name not in row.attrs:
+                    self._warn(f"unknown attribute '{name}' on <{tag}>; ignored", frame.pos)
         if tag == "seg":
-            frame.pending_seg = self._read_seg(attrs, frame)
+            frame.members.append(self._read_seg(attrs, frame))
         self.stack.append(frame)
 
-    @staticmethod
-    def _is_leafish(tag: str) -> bool:
-        return tag not in ("struct", "feat", "alt", "rel", "seg", "brack", "startsAt", "endsAt")
-
     def _text(self, data: str) -> None:
-        if self.skip_depth or not self.stack:
-            return
-        self.stack[-1].text_parts.append(data)
+        if not self.skip_depth:
+            self.stack[-1].text_parts.append(data)
 
     def _end(self, tag: str) -> None:
         if self.skip_depth:
             self.skip_depth -= 1
             return
         frame = self.stack.pop()
-        parent = self.stack[-1] if self.stack else None
         text = "".join(frame.text_parts)
         if text.strip() and frame.saw_elements:
-            self._warn(f"<{tag}> mixes text with child elements; text ignored", (frame.line, frame.column))
+            self._warn(f"<{tag}> mixes text with child elements; text ignored", frame.pos)
             text = ""
-        _CLOSERS.get(tag, _GmtBuilder._close_unknown)(self, frame, parent, text)
+        frame.row.close(self, frame, self.stack[-1], text)
 
     def _external_entity(self, name: str, base: Optional[str], system_id: str, public_id: Optional[str]) -> int:
         self._warn(f"external entity '{name}' (system id '{system_id}') not fetched; read as empty")
@@ -208,38 +183,24 @@ class _GmtBuilder:
         # expat skips an undeclared reference, not refuses it, after an external DTD or %p;
         self._warn(f"entity '{name}' not expanded (no declaration read); read as empty")
 
-    # -- element closers
+    # -- element closers: each appends what it builds to its parent's members.
+    # The members of an unknown element are dropped with it.
 
-    def _close_struct(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_struct(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<struct> contains stray text; ignored", (frame.line, frame.column))
-        node_type, ref = None, None
-        for name, value in frame.attrs.items():
-            if name == "type":
-                node_type = value
-            elif name == "ref":
-                ref = strip_pointer(value)
-            elif name not in ("id", "ID"):
-                self._warn(f"unknown attribute '{name}' on <struct>; ignored", (frame.line, frame.column))
-        node_id = frame.attrs.get("id")
-        if "ID" in frame.attrs:
-            if node_id is None:
-                node_id = frame.attrs["ID"]
-            else:
-                self._warn("both 'id' and 'ID' given; 'id' wins", (frame.line, frame.column))
-        node = StructNode(
-            type=node_type,
-            id=node_id,
-            ref=ref,
-            items=self._finish_items(frame),
-            children=tuple(frame.children),
-        )
-        if parent is None:
-            self.root = node
-        elif parent.tag == "alt":
-            parent.bundle.append(node)
-        else:
-            parent.children.append(node)
+            self._warn("<struct> contains stray text; ignored", frame.pos)
+        attrs = frame.attrs
+        if "id" in attrs and "ID" in attrs:
+            self._warn("both 'id' and 'ID' given; 'id' wins", frame.pos)
+        ref = attrs.get("ref")
+        items, children = self._finish(frame)
+        parent.members.append(StructNode(
+            type=attrs.get("type"),
+            id=attrs.get("id", attrs.get("ID")),
+            ref=strip_pointer(ref) if ref is not None else None,
+            items=items,
+            children=children,
+        ))
 
     def _leaf(self, cat: str, text: str) -> Feature:
         feat = self.leaves.get((cat, text))
@@ -247,150 +208,110 @@ class _GmtBuilder:
             feat = self.leaves[cat, text] = Feature(cat=cat, text=text)
         return feat
 
-    def _close_feat(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_feat(self, frame: _Frame, parent: _Frame, text: str) -> None:
         cat = frame.attrs.get("type")
         if cat is None:
-            self._warn("<feat> without a type attribute", (frame.line, frame.column))
+            self._warn("<feat> without a type attribute", frame.pos)
             cat = ""
         target = frame.attrs.get("target")
-        for name in frame.attrs:
-            if name not in ("type", "target"):
-                self._warn(f"unknown attribute '{name}' on <feat>; ignored", (frame.line, frame.column))
         if target is not None and text.strip():
-            self._warn("<feat> carries both a target and text; text ignored", (frame.line, frame.column))
-        if frame.nested or target is not None:
-            feat = Feature(
+            self._warn("<feat> carries both a target and text; text ignored", frame.pos)
+        if frame.members or target is not None:
+            parent.members.append(Feature(
                 cat=cat,
-                nested=tuple(frame.nested) if frame.nested else None,
+                nested=tuple(frame.members) or None,
                 target=strip_pointer(target) if target is not None else None,
-            )
+            ))
         else:
-            feat = self._leaf(cat, text.strip())
-        self._emit_feature(feat, parent)
+            parent.members.append(self._leaf(cat, text.strip()))
 
-    def _emit_feature(self, feat: Feature, parent: _Frame) -> None:
-        if parent.tag == "feat":
-            parent.nested.append(feat)
-        elif parent.tag == "alt":
-            parent.bundle.append(feat)
-        elif parent.tag in _ITEM_CONTAINERS:
-            self._append_item(parent, feat)
-
-    def _close_alt(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_alt(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<alt> contains stray text; ignored", (frame.line, frame.column))
-        if parent is None or parent.tag not in _ITEM_CONTAINERS:
-            self._warn("<alt> outside a node; ignored", (frame.line, frame.column))
-            return
-        bundle = tuple(frame.bundle)
-        if parent.alt_run_open and parent.items and isinstance(parent.items[-1], _AltRun):
-            parent.items[-1].bundles.append(bundle)
+            self._warn("<alt> contains stray text; ignored", frame.pos)
+        if parent.row is _UNKNOWN:
+            self._warn("<alt> outside a node; ignored", frame.pos)
+        elif parent.alt_run_open:
+            parent.members[-1].append(tuple(frame.members))
         else:
-            run = _AltRun()
-            run.bundles.append(bundle)
-            parent.items.append(run)
+            parent.members.append([tuple(frame.members)])
             parent.alt_run_open = True
 
-    def _close_rel(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_rel(self, frame: _Frame, parent: _Frame, text: str) -> None:
         target = frame.attrs.get("target")
         if target is None:
-            self._warn("<rel> without a target; skipped", (frame.line, frame.column))
-            return
-        rel = Relation(target=strip_pointer(target), rel_type=frame.attrs.get("type"))
-        if parent is not None and parent.tag in _ITEM_CONTAINERS:
-            self._append_item(parent, rel)
+            self._warn("<rel> without a target; skipped", frame.pos)
+        else:
+            parent.members.append(Relation(target=strip_pointer(target), rel_type=frame.attrs.get("type")))
 
-    def _close_seg(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        if parent is None or parent.tag not in ("struct", "brack"):
-            self._warn("<seg> in an unexpected position; ignored", (frame.line, frame.column))
+    def _close_seg(self, frame: _Frame, parent: _Frame, text: str) -> None:
+        if parent.tag not in ("struct", "brack"):
+            self._warn("<seg> in an unexpected position; ignored", frame.pos)
             return
-        self._append_item(parent, frame.pending_seg)
-        if frame.items or frame.children:
+        seg, *content = frame.members
+        parent.members.append(seg)
+        if content:
             # Stand-off leniency: content nested inside <seg> belongs to the
             # nearest enclosing node, right after the reference itself.
-            self._warn(
-                "<seg> with element content; content attached to the enclosing node",
-                (frame.line, frame.column),
-            )
-            owner = self._enclosing_struct(parent)
-            for raw in frame.items:
-                self._append_item(owner, raw)
-            owner.children.extend(frame.children)
+            self._warn("<seg> with element content; content attached to the enclosing node", frame.pos)
+            self._lift(content)
 
-    def _enclosing_struct(self, frame: _Frame) -> _Frame:
-        if frame.tag == "struct":
-            return frame
-        for candidate in reversed(self.stack):
-            if candidate.tag == "struct":
-                return candidate
-        return frame
+    def _lift(self, members: list) -> None:
+        """Attach members to the nearest enclosing node; inside an unknown element they are dropped with it."""
+        owner = next(f for f in reversed(self.stack) if f.tag == "struct" or f.row is _UNKNOWN)
+        owner.members.extend(members)
 
-    def _close_brack(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
+    def _close_brack(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<brack> contains stray text; ignored", (frame.line, frame.column))
-        if frame.children:
-            self._warn("<brack> cannot group nodes; nodes attached to the enclosing node", (frame.line, frame.column))
-        brack = Bracket(members=self._finish_items(frame))
-        if parent is not None and parent.tag in _ITEM_CONTAINERS:
-            self._append_item(parent, brack)
-            if frame.children:
-                self._enclosing_struct(parent).children.extend(frame.children)
+            self._warn("<brack> contains stray text; ignored", frame.pos)
+        items, children = self._finish(frame)
+        if children:
+            self._warn("<brack> cannot group nodes; nodes attached to the enclosing node", frame.pos)
+            self._lift(children)
+        parent.members.append(Bracket(members=items))
 
-    def _close_endpoint(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        target = frame.attrs.get("target")
-        if target is None:
+    def _close_endpoint(self, frame: _Frame, parent: _Frame, text: str) -> None:
+        if "target" not in frame.attrs:
             self._close_unknown(frame, parent, text)
-            return
-        if parent is None or parent.tag not in ("struct", "brack"):
-            self._warn(f"<{frame.tag}> in an unexpected position; ignored", (frame.line, frame.column))
-            return
-        kind = "start" if frame.tag == "startsAt" else "end"
-        self._append_item(parent, _EndpointMark(kind, strip_pointer(target), frame.line, frame.column))
+        elif parent.tag not in ("struct", "brack"):
+            self._warn(f"<{frame.tag}> in an unexpected position; ignored", frame.pos)
+        else:
+            parent.members.append(frame)  # paired by the enclosing node's _finish
 
-    def _close_unknown(self, frame: _Frame, parent: Optional[_Frame], text: str) -> None:
-        if frame.saw_elements or parent is None:
-            self._warn(f"unknown element <{frame.tag}>; skipped", (frame.line, frame.column))
-            return
-        # Leaf elements outside the core tag set are read as features named
-        # by the element, which keeps landmark descriptions parseable.
-        self._emit_feature(self._leaf(frame.tag, text.strip()), parent)
+    def _close_unknown(self, frame: _Frame, parent: _Frame, text: str) -> None:
+        if frame.saw_elements:
+            self._warn(f"unknown element <{frame.tag}>; skipped", frame.pos)
+        else:
+            # Leaf elements outside the core tag set are read as features named
+            # by the element, which keeps landmark descriptions parseable.
+            parent.members.append(self._leaf(frame.tag, text.strip()))
 
-    # -- item plumbing
-
-    def _append_item(self, frame: _Frame, item: object) -> None:
-        frame.items.append(item)
-        frame.alt_run_open = False
-
-    def _finish_items(self, frame: _Frame) -> tuple[NodeItem, ...]:
-        """Resolve alt runs and pair landmark endpoints."""
-        paired: list[object] = []
-        open_starts: list[tuple[int, _EndpointMark]] = []
-        for raw in frame.items:
-            if isinstance(raw, _EndpointMark) and raw.kind == "start":
-                open_starts.append((len(paired), raw))
-                paired.append(raw)
-            elif isinstance(raw, _EndpointMark):
-                if open_starts:
-                    index, start = open_starts.pop(0)
-                    paired[index] = SegmentRef(LandmarkEndpoints(start.target, raw.target))
-                else:
-                    self._warn("<endsAt> without a matching <startsAt>; dropped", (raw.line, raw.column))
+    def _finish(self, frame: _Frame) -> tuple[tuple[NodeItem, ...], tuple[StructNode, ...]]:
+        """Split members into items and child nodes, pair landmark endpoints and fold <alt> runs."""
+        items: list = []
+        children: list[StructNode] = []
+        starts: list[int] = []  # where the unpaired <startsAt> frames sit in items
+        for member in frame.members:
+            if isinstance(member, StructNode):
+                children.append(member)
+            elif isinstance(member, list):
+                items.append(AltSet(tuple(member)))
+            elif not isinstance(member, _Frame):
+                items.append(member)
+            elif member.tag == "startsAt":
+                starts.append(len(items))
+                items.append(member)
+            elif starts:
+                start = starts.pop(0)
+                items[start] = SegmentRef(LandmarkEndpoints(
+                    strip_pointer(items[start].attrs["target"]), strip_pointer(member.attrs["target"])
+                ))
             else:
-                paired.append(raw)
-        items: list[NodeItem] = []
-        for raw in paired:
-            if isinstance(raw, _EndpointMark):
-                self._warn("<startsAt> without a matching <endsAt>; dropped", (raw.line, raw.column))
-            elif isinstance(raw, _AltRun):
-                items.append(AltSet(tuple(raw.bundles)))
-            else:
-                items.append(raw)  # type: ignore[arg-type]
-        return tuple(items)
+                self._warn("<endsAt> without a matching <startsAt>; dropped", member.pos)
+        for start in reversed(starts):
+            self._warn("<startsAt> without a matching <endsAt>; dropped", items.pop(start).pos)
+        return tuple(items), tuple(children)
 
     def _read_seg(self, attrs: dict[str, str], frame: _Frame) -> SegmentRef:
-        for name in attrs:
-            if name not in _SEG_ATTRS:
-                self._warn(f"unknown attribute '{name}' on <seg>; ignored", (frame.line, frame.column))
         id_mode = "target" in attrs or "targets" in attrs
         start_raw = self._positional_attr(attrs, "startsAt", "startPosition", frame)
         end_raw = self._positional_attr(attrs, "endsAt", "endPosition", frame)
@@ -407,12 +328,12 @@ class _GmtBuilder:
             if start_raw is None or end_raw is None:
                 self._fail("<seg> positional addressing needs both a start and an end")
             return SegmentRef(PositionalSpan(self._offset(start_raw), self._offset(end_raw)))
-        self._warn("<seg> without any addressing", (frame.line, frame.column))
+        self._warn("<seg> without any addressing", frame.pos)
         return SegmentRef(IdTargets(()))
 
     def _positional_attr(self, attrs: dict[str, str], name: str, synonym: str, frame: _Frame) -> Optional[str]:
         if name in attrs and synonym in attrs:
-            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", (frame.line, frame.column))
+            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", frame.pos)
             return attrs[name]
         return attrs.get(name, attrs.get(synonym))
 
@@ -436,15 +357,32 @@ class _GmtBuilder:
             ) from exc
         finally:
             self.parser = None  # its handlers are bound methods: drop the cycle through self
-        assert self.root is not None
-        return GmtDocument(self.root), ParseDiagnostics(tuple(self.warnings))
+        return GmtDocument(self.stack[0].members[0]), ParseDiagnostics(tuple(self.warnings))
 
 
-_CLOSERS = {
-    "struct": _GmtBuilder._close_struct, "feat": _GmtBuilder._close_feat, "alt": _GmtBuilder._close_alt,
-    "rel": _GmtBuilder._close_rel, "seg": _GmtBuilder._close_seg, "brack": _GmtBuilder._close_brack,
-    "startsAt": _GmtBuilder._close_endpoint, "endsAt": _GmtBuilder._close_endpoint,
+class _Element(NamedTuple):
+    """One row of the element grammar, as the reader applies it."""
+
+    attrs: Optional[tuple[str, ...]]  # the attributes it reads; others warn (None: no check)
+    # The known tags it may contain, or None for any.  An element that may
+    # contain some known tags may also contain unknown ones; () is empty.
+    contains: Optional[tuple[str, ...]]
+    close: Callable[[_GmtBuilder, _Frame, _Frame, str], None]
+
+
+_ELEMENTS = {
+    "struct": _Element(("type", "id", "ID", "ref"), None, _GmtBuilder._close_struct),
+    "feat": _Element(("type", "target"), ("feat",), _GmtBuilder._close_feat),
+    "alt": _Element((), ("feat", "struct"), _GmtBuilder._close_alt),
+    "rel": _Element(("type", "target"), (), _GmtBuilder._close_rel),
+    "seg": _Element(
+        ("target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"), None, _GmtBuilder._close_seg
+    ),
+    "brack": _Element((), None, _GmtBuilder._close_brack),
+    "startsAt": _Element(("target",), (), _GmtBuilder._close_endpoint),
+    "endsAt": _Element(("target",), (), _GmtBuilder._close_endpoint),
 }
+_UNKNOWN = _Element(None, None, _GmtBuilder._close_unknown)
 
 
 def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:
@@ -462,11 +400,15 @@ def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:
 
 
 def _attr(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    # Character references keep tab, newline and carriage return through
+    # attribute-value normalization, which turns them into spaces.
+    value = _content(value).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
     return f'"{value}"'
 
+
 def _content(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # A literal carriage return would be read back as a newline.
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 def serialize_gmt(doc: GmtDocument) -> str:

@@ -157,6 +157,56 @@ def random_mergeable_document(rng: random.Random, doc_type: str = "MSAnnot") -> 
     return GmtDocument(StructNode(type=doc_type, children=children))
 
 
+# Random GMT-like markup: the attributes each tag usually carries, the
+# values each attribute may take (hostile ones included), and stray text.
+MARKUP_TAGS = ["struct", "feat", "alt", "rel", "seg", "brack", "startsAt", "endsAt", "position", "meta"]
+MARKUP_USUAL_ATTRS = {
+    "struct": [(), ("type",), ("type", "id"), ("id", "ref"), ("ID",)],
+    "feat": [("type",), ("type",), ("type", "target"), ()],
+    "rel": [("target",), ("type", "target"), ()],
+    "seg": [("target",), ("targets",), ("startsAt", "endsAt"), ("startPosition", "endPosition"), ("target", "targets"), ()],
+    "startsAt": [("target",), ()],
+    "endsAt": [("target",), ()],
+}
+MARKUP_VALUES = {
+    "type": ["lemma", "pos", "W-level", "", "a b"],
+    "id": ["n1", "n2", "w1", "", "x y"],
+    "ref": ["#n1", "n2", "#"],
+    "target": ["#w1", "w2", "#n1", "", "#x y", "##w3"],
+    "targets": ["w1 w2", "#w1 w3", "w2", "##w4 w5", "", " w6 "],
+    "startsAt": ["0", "3", "12", "-1", "x"],
+    "endsAt": ["0", "5", "20", " 7 "],
+    "lang": ["fr"],
+}
+MARKUP_VALUES["ID"] = MARKUP_VALUES["id"]
+MARKUP_VALUES["startPosition"] = MARKUP_VALUES["startsAt"]
+MARKUP_VALUES["endPosition"] = MARKUP_VALUES["endsAt"]
+MARKUP_TEXT = ["", "", "", "NOUN", " tête ", "a &amp; b", "&lt;x&gt;", "\n  "]
+
+
+def random_markup(rng: random.Random, depth: int = 4) -> str:
+    """A GMT-like XML text: any known or unknown tag under any other, with
+    usual, unusual and unknown attributes, hostile values and stray text."""
+
+    def element(level: int) -> str:
+        tag = rng.choice(MARKUP_TAGS) if level else "struct"
+        names = list(rng.choice(MARKUP_USUAL_ATTRS.get(tag, [()])))
+        if rng.random() < 0.15:
+            names.append(rng.choice(sorted(MARKUP_VALUES)))
+        values = {name: rng.choice(MARKUP_VALUES[name]) for name in names}
+        if tag in ("startsAt", "endsAt") and "target" in values:
+            values["target"] = f"#{rng.randint(0, 3)}"
+        attrs = "".join(f' {name}="{value}"' for name, value in values.items())
+        parts = [rng.choice(MARKUP_TEXT)]
+        for _ in range(rng.choice((0, 0, 1, 2, 3, 4)) if level < depth else 0):
+            parts.append(element(level + 1))
+            if rng.random() < 0.2:
+                parts.append(rng.choice(MARKUP_TEXT))
+        return f"<{tag}{attrs}>{''.join(parts)}</{tag}>"
+
+    return element(0)
+
+
 PHONES = ["h#", "sh", "iy", "hv", "ae", "dcl", "y", "axr", "q", "em"]
 WORDS = ["she", "had", "your", "dark", "suit", "in"]
 

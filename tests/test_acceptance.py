@@ -58,18 +58,15 @@ from randgen import (
 from test_anchoring import _oracle_extent
 from test_merge_diff import count_features
 
-SHIPPED_FIXTURES = (
-    "msannot_sentence.xml",
-    "msannot_fusion_du.xml",
-    "msannot_compound_pomme.xml",
-    "msannot_alternatives_bouche.xml",
-)
+# Every GMT fixture: all the XML fixtures but the annotation graph.
+GMT_FIXTURES = tuple(sorted(p.name for p in FIXTURES.glob("*.xml") if p.name != "annotation_graph.xml"))
 
 
 def test_criterion_1_fixture_fidelity():
     started = time.perf_counter()
     registry = default_registry()
-    for name in SHIPPED_FIXTURES:
+    assert len(GMT_FIXTURES) >= 9
+    for name in GMT_FIXTURES:
         doc, diagnostics = parse_gmt(load_fixture(name))
         assert diagnostics.warnings == (), name
         assert validate_structure(doc).errors == (), name

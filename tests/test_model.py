@@ -128,6 +128,14 @@ def test_validate_segment_invariants():
     assert codes == ["EMPTY_TARGETS", "DUPLICATE_TARGET", "INVERTED_SPAN"]
 
 
+@pytest.mark.parametrize("bad", ["x y", "", "#a", "a\tb", "a\n"])
+def test_multi_target_ids_the_writer_cannot_list_are_errors(bad):
+    # serialize_gmt writes several targets as one space-separated attribute.
+    node = StructNode(items=(SegmentRef(IdTargets(("w1", bad))), SegmentRef(IdTargets((bad,)))))
+    findings = validate_structure(GmtDocument(node)).findings
+    assert [(f.code, f.path) for f in findings] == [("BAD_TARGET", "/struct[1]/seg[1]")]
+
+
 def test_valid_document_ids_all_findable():
     rng = random.Random(7)
     for _ in range(20):

@@ -18,16 +18,18 @@ from gmtannot import (
     IdTargets,
     LandmarkEndpoints,
     PositionalSpan,
+    Relation,
     SegmentRef,
     StructNode,
     default_registry,
     parse_gmt,
     serialize_gmt,
     validate_categories,
+    validate_structure,
 )
 from gmtannot.model import walk_elements
 from conftest import load_fixture
-from randgen import random_document
+from randgen import random_document, random_markup
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,24 @@ def test_seg_with_element_content_lifts_to_parent():
     assert any("seg" in w.message for w in diagnostics.warnings)
 
 
+@pytest.mark.parametrize(
+    "text, items",
+    [
+        ('<struct><meta><brack><seg target="#a"><feat type="x">1</feat></seg></brack></meta></struct>', ()),
+        ('<struct><meta><brack><brack><struct id="x"/></brack></brack></meta></struct>', ()),
+        (
+            '<struct><alt/><alt><meta><brack><seg target="#a"><feat type="x">1</feat></seg></brack></meta></alt></struct>',
+            (AltSet(((), ())),),
+        ),
+    ],
+    ids=["seg-content", "bracketed-node", "across-an-alt"],
+)
+def test_content_lifted_inside_an_unknown_element_is_dropped_with_it(text, items):
+    doc, diagnostics = parse_gmt(text)
+    assert doc.root == StructNode(items=items)
+    assert "unknown element <meta>; skipped" in [w.message for w in diagnostics.warnings]
+
+
 def test_feature_text_is_end_trimmed_only():
     doc, _ = parse_gmt('<struct><feat type="lemma">\n    pomme_de_terre</feat></struct>')
     assert doc.root.items == (Feature(cat="lemma", text="pomme_de_terre"),)
@@ -184,6 +204,76 @@ def test_entities_round_trip():
     text = serialize_gmt(doc)
     again, _ = parse_gmt(text)
     assert again == doc
+
+
+# ---------------------------------------------------------------------------
+# every warning the reader emits, pinned by message, line and column
+#
+# Warning order is not part of the contract, so each row compares sorted lists.
+
+WARNING_ROWS = [
+    ("rel-cannot-contain", '<struct><rel target="#a"><feat type="x">1</feat></rel></struct>',
+     [(1, 26, "<rel> cannot contain <feat>; element skipped")]),
+    ("endpoint-cannot-contain", '<struct><startsAt target="#a"><x/></startsAt><endsAt target="#b"/></struct>',
+     [(1, 31, "<startsAt> cannot contain <x>; element skipped")]),
+    ("feat-cannot-contain", '<struct><feat type="x"><seg target="#a"/></feat></struct>',
+     [(1, 24, "<feat> cannot contain <seg>; element skipped")]),
+    ("alt-cannot-contain", '<struct><alt><rel target="#a"/></alt><alt/></struct>',
+     [(1, 14, "<alt> cannot contain <rel>; element skipped")]),
+    ("mixed-text", '<struct><feat type="x">a<feat type="y">b</feat></feat></struct>',
+     [(1, 9, "<feat> mixes text with child elements; text ignored")]),
+    ("struct-stray-text", "<struct>hello</struct>", [(1, 1, "<struct> contains stray text; ignored")]),
+    ("struct-unknown-attribute", '<struct foo="1"/>', [(1, 1, "unknown attribute 'foo' on <struct>; ignored")]),
+    ("struct-attribute-and-child", '<struct foo="1"><feat>x</feat></struct>',
+     [(1, 1, "unknown attribute 'foo' on <struct>; ignored"), (1, 17, "<feat> without a type attribute")]),
+    ("id-and-ID", '<struct id="a" ID="b"/>', [(1, 1, "both 'id' and 'ID' given; 'id' wins")]),
+    ("feat-without-type", "<struct><feat>x</feat></struct>", [(1, 9, "<feat> without a type attribute")]),
+    ("feat-unknown-attribute", '<struct><feat type="x" lang="fr">x</feat></struct>',
+     [(1, 9, "unknown attribute 'lang' on <feat>; ignored")]),
+    ("feat-target-and-text", '<struct><feat type="x" target="#a">x</feat></struct>',
+     [(1, 9, "<feat> carries both a target and text; text ignored")]),
+    ("alt-stray-text", "<struct><alt>x</alt><alt/></struct>", [(1, 9, "<alt> contains stray text; ignored")]),
+    ("alt-outside-a-node", "<struct><meta><alt/></meta></struct>",
+     [(1, 9, "unknown element <meta>; skipped"), (1, 15, "<alt> outside a node; ignored")]),
+    ("rel-without-target", '<struct><rel type="dep"/></struct>', [(1, 9, "<rel> without a target; skipped")]),
+    ("seg-unexpected-position", '<struct><seg target="#a"><seg target="#b"/></seg></struct>',
+     [(1, 26, "<seg> in an unexpected position; ignored")]),
+    ("seg-element-content", '<struct><seg target="#a"><feat type="x">1</feat></seg></struct>',
+     [(1, 9, "<seg> with element content; content attached to the enclosing node")]),
+    ("brack-stray-text", "<struct><brack>x</brack></struct>", [(1, 9, "<brack> contains stray text; ignored")]),
+    ("brack-groups-nodes", "<struct><brack><struct/></brack></struct>",
+     [(1, 9, "<brack> cannot group nodes; nodes attached to the enclosing node")]),
+    ("endpoint-unexpected-position", '<struct><seg target="#a"><startsAt target="#0"/></seg></struct>',
+     [(1, 26, "<startsAt> in an unexpected position; ignored")]),
+    ("unknown-element", "<struct><meta><x/></meta></struct>", [(1, 9, "unknown element <meta>; skipped")]),
+    ("endsAt-unpaired", '<struct><endsAt target="#1"/></struct>',
+     [(1, 9, "<endsAt> without a matching <startsAt>; dropped")]),
+    ("startsAt-unpaired", '<struct><startsAt target="#0"/></struct>',
+     [(1, 9, "<startsAt> without a matching <endsAt>; dropped")]),
+    ("seg-unknown-attribute", '<struct><seg target="#a" lang="fr"/></struct>',
+     [(1, 9, "unknown attribute 'lang' on <seg>; ignored")]),
+    ("seg-without-addressing", "<struct><seg/></struct>", [(1, 9, "<seg> without any addressing")]),
+    ("positional-synonyms", '<struct><seg startsAt="1" startPosition="2" endsAt="3"/></struct>',
+     [(1, 9, "both 'startsAt' and 'startPosition' given; 'startsAt' wins")]),
+    ("external-entity", '<!DOCTYPE struct [<!ENTITY e SYSTEM "e.txt">]>\n<struct><feat type="x">&e;</feat></struct>',
+     [(2, 24, "external entity 'e' (system id 'e.txt') not fetched; read as empty")]),
+    ("skipped-entity", '<!DOCTYPE struct SYSTEM "gmt.dtd">\n<struct><feat type="x">&e;</feat></struct>',
+     [(2, 24, "entity 'e' not expanded (no declaration read); read as empty")]),
+    ("rel-unknown-attribute", '<struct><rel target="#a" lang="fr"/></struct>',
+     [(1, 9, "unknown attribute 'lang' on <rel>; ignored")]),
+    ("alt-unknown-attribute", '<struct><alt n="1"/><alt/></struct>', [(1, 9, "unknown attribute 'n' on <alt>; ignored")]),
+    ("brack-unknown-attribute", '<struct><brack n="1"/></struct>', [(1, 9, "unknown attribute 'n' on <brack>; ignored")]),
+    ("startsAt-unknown-attribute", '<struct><startsAt target="#0" n="1"/><endsAt target="#1"/></struct>',
+     [(1, 9, "unknown attribute 'n' on <startsAt>; ignored")]),
+    ("endsAt-unknown-attribute", '<struct><startsAt target="#0"/><endsAt target="#1" n="1"/></struct>',
+     [(1, 32, "unknown attribute 'n' on <endsAt>; ignored")]),
+]
+
+
+@pytest.mark.parametrize("text, expected", [row[1:] for row in WARNING_ROWS], ids=[row[0] for row in WARNING_ROWS])
+def test_reader_warnings(text, expected):
+    _, diagnostics = parse_gmt(text)
+    assert sorted(diagnostics.warnings) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +362,37 @@ def test_alt_inside_bracket_round_trips():
     assert again == doc
 
 
+@pytest.mark.parametrize("value", ["a\nb", "a\tb", "a\rb", "a\r\nb", "x\n\ty"])
+def test_tab_newline_and_carriage_return_round_trip(value):
+    node = StructNode(
+        type=value,
+        id=value,
+        ref=value,
+        items=(
+            Feature(cat=value, text=value),
+            Feature(cat="note", target=value),
+            Relation(target=value, rel_type=value),
+            SegmentRef(IdTargets((value,))),
+            SegmentRef(LandmarkEndpoints(value, value)),
+            AltSet(((Feature(cat=value, text="x"),), (Feature(cat="pos", text=value),))),
+        ),
+    )
+    doc = GmtDocument(node)
+    text = serialize_gmt(doc)
+    assert "&#" in text
+    again, diagnostics = parse_gmt(text)
+    assert again == doc
+    assert diagnostics.warnings == ()
+    assert serialize_gmt(again) == text
+
+
+@pytest.mark.parametrize("target", ["x y", "", "#a", " w1 ", "a\tb"])
+def test_a_single_target_round_trips_whatever_its_spelling(target):
+    doc = GmtDocument(StructNode(items=(SegmentRef(IdTargets((target,))),)))
+    again, _ = parse_gmt(serialize_gmt(doc))
+    assert again == doc
+
+
 def test_round_trip_500_random_documents():
     rng = random.Random(42)
     for _ in range(500):
@@ -281,6 +402,22 @@ def test_round_trip_500_random_documents():
         assert again == doc
         assert diagnostics.warnings == ()
         assert serialize_gmt(again) == text
+
+
+def test_random_markup_is_read_or_refused_and_valid_documents_round_trip():
+    rng = random.Random(2009)
+    valid = 0
+    for _ in range(3000):
+        text = random_markup(rng)
+        try:
+            doc, _ = parse_gmt(text)
+        except GmtParseError:
+            continue
+        if validate_structure(doc).ok:
+            valid += 1
+            again, _ = parse_gmt(serialize_gmt(doc))
+            assert again == doc, text
+    assert valid > 1000
 
 
 # ---------------------------------------------------------------------------
