@@ -17,10 +17,9 @@ per-source brackets; nodes with children fall back to keep-all).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import MergeError
 from .model import (
@@ -37,7 +36,6 @@ from .model import (
     SegmentRef,
     StructNode,
     iter_items,
-    walk_elements,
 )
 
 KEEP_ALL = "keep-all"
@@ -94,38 +92,99 @@ def anchor_key(node: StructNode) -> Optional[str]:
     """Alignment key for a node, or None when it has no anchor at all.
 
     A node carrying segments is keyed by them.  Any other node is keyed by
-    its type and its children's keys, folded bottom-up on an explicit
-    stack, so nesting depth is bounded by memory only.
+    its type and its children's keys, folded bottom-up by :func:`_scan`.
     """
-    segs = sorted(seg_key(item) for item in iter_items(node) if isinstance(item, SegmentRef))
-    if segs:
-        return "&".join(segs)
-    # A frame: a segless node, its children still to key, and the keys so far.
-    stack: list[tuple[StructNode, Iterator[StructNode], list[str]]] = [
-        (node, iter(node.children), [])
-    ]
-    while True:
-        current, children, keys = stack[-1]
-        for child in children:
-            if _has_segs(child):
-                keys.append(anchor_key(child))
+    return _summary(node)[1]
+
+
+def _summary(root: StructNode) -> tuple:
+    """The last of :func:`_scan`'s results, which is ``root``'s own."""
+    for summary in _scan(root):
+        pass
+    return summary
+
+
+def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterator[tuple]:
+    """Yield ``(node, key, mode, fingerprint, items, children)`` for ``root`` and each node below
+    it, after the elements it contains, with one explicit stack instead of recursion.
+
+    ``key`` is the :func:`anchor_key`, ``mode`` the class name of the first segment's addressing
+    (None without segments), ``items`` the node's one ``iter_items`` scan, ``children`` a
+    ``(key, mode, id)`` per child.  Without a ``table`` the walk stops at nodes with segments.
+    With one it covers bundles and nested features too, and ``fingerprint`` is the table's id
+    of ``(type, sorted item ids, sorted child ids)``, a child with segments having id -1.  Items,
+    bundles and features get ids from tuples tagged by their kind, so equal ids mean equal
+    content up to the order of items, bundles, children and nested features.
+    """
+
+    def intern(canonical: tuple) -> int:
+        return table.setdefault(canonical, len(table))  # type: ignore[union-attr]
+
+    def deep(member: Feature | StructNode) -> bool:  # visited on its own, before its owner
+        return isinstance(member, StructNode) or member.target is None and member.nested is not None
+
+    def member_id(member: Feature | StructNode) -> int:
+        if isinstance(member, Feature):
+            if member.target is not None:
+                return intern(("feat", member.cat, "@", member.target))
+            if member.nested is None:
+                return intern(("feat", member.cat, "", member.text or ""))
+        return next(below)[2]
+
+    done: list[tuple] = []  # (key, mode, id in its owner) of each finished element, until its owner closes
+    stack: list = [root]  # elements to open, and (element, items, segments, start of results) to close
+    while stack:
+        element = stack.pop()
+        if type(element) is not tuple:
+            if isinstance(element, Feature):
+                items, segs, parts = element.nested, [], [m for m in element.nested if deep(m)]
             else:
-                stack.append((child, iter(child.children), []))
-                break
+                items, segs, parts = iter_items(element), [], []
+                for item in items:
+                    if isinstance(item, SegmentRef):
+                        segs.append(item)
+                    elif table is None:
+                        continue
+                    elif isinstance(item, AltSet):
+                        parts += [m for bundle in item.alternatives for m in bundle if deep(m)]
+                    elif isinstance(item, Feature) and deep(item):
+                        parts.append(item)
+                if table is not None or not segs:
+                    parts += element.children
+            stack.append((element, items, segs, len(done)))
+            if parts:
+                stack += reversed(parts)  # the first part is finished first
         else:
-            stack.pop()
-            key = f"node:{_escape(current.type or '')}:({';'.join(sorted(keys))})" if keys else None
-            if not stack:
-                return key
-            if key is not None:
-                stack[-1][2].append(key)
-
-
-def _addressing_mode(node: StructNode) -> Optional[str]:
-    for item in iter_items(node):
-        if isinstance(item, SegmentRef):
-            return type(item.addr).__name__
-    return None
+            element, items, segs, start = element
+            taken = done[start:]
+            del done[start:]
+            below = iter(taken)
+            if isinstance(element, Feature):
+                done.append((None, None, intern(("feat", element.cat, "nested", *sorted(map(member_id, items))))))
+                continue
+            # The children's results come after those of bundle members and nested features.
+            children = taken[len(taken) - len(element.children):] if taken else taken
+            seg_keys = sorted(map(seg_key, segs))
+            key: Optional[str] = "&".join(seg_keys)
+            if not segs:
+                keys = sorted(k for k, _, _ in children if k is not None)
+                key = f"node:{_escape(element.type or '')}:({';'.join(keys)})" if keys else None
+            mode = type(segs[0].addr).__name__ if segs else None
+            fingerprint = None
+            if table is not None:
+                ids = [intern(("seg", k)) for k in seg_keys]
+                for item in items:
+                    if isinstance(item, Feature):
+                        ids.append(member_id(item))
+                    elif isinstance(item, AltSet):
+                        bundles = (intern(("bundle", *sorted(map(member_id, b)))) for b in item.alternatives)
+                        ids.append(intern(("alt", *sorted(bundles))))
+                    elif isinstance(item, Relation):
+                        ids.append(intern(("rel", item.rel_type or "", item.target)))
+                members = tuple(sorted([c[2] for c in children])) if children else ()
+                fingerprint = intern((element.type or "", tuple(sorted(ids)), members))
+            done.append((key, mode, -1 if segs else fingerprint))
+            yield element, key, mode, fingerprint, items, children
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +213,11 @@ def merge(
         if doc.doc_type != doc_type:
             raise MergeError(f"mixed document types: {doc_type!r} and {doc.doc_type!r}")
     roots = [doc.root for doc in docs]
-    if any(_has_segs(root) for root in roots):
+    tops = [_summary(root) for root in roots]  # each with its children's
+    if any(top[2] for top in tops):
         # The roots are annotation nodes themselves: align them like any
         # other anchor group rather than treating them as containers.
-        merged = _merge_level(roots, policy, warnings)
+        merged = _merge_level(roots, [top[1:3] for top in tops], policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
@@ -167,54 +227,49 @@ def merge(
         if policy.on_parallel == KEEP_ALL or root.items not in seen_item_lists:
             items.extend(root.items)
             seen_item_lists.append(root.items)
-    children = _merge_level([child for root in roots for child in root.children], policy, warnings)
+    children = [child for root in roots for child in root.children]
+    children = _merge_level(children, [summary for top in tops for summary in top[5]], policy, warnings)
     first = roots[0]
     return GmtDocument(
         StructNode(type=first.type, id=first.id, ref=first.ref, items=tuple(items), children=tuple(children))
     )
 
 
-def _has_segs(node: StructNode) -> bool:
-    return any(isinstance(item, SegmentRef) for item in iter_items(node))
-
-
 def _merge_level(
-    nodes: list[StructNode], policy: MergePolicy, warnings: Optional[list[str]]
+    nodes: list[StructNode], summaries: list[tuple], policy: MergePolicy, warnings: Optional[list[str]]
 ) -> list[StructNode]:
+    """Group nodes by the key of their ``(key, mode, ...)`` summaries and merge each group."""
     groups: dict[str, list[StructNode]] = {}
+    modes: dict[str, Optional[str]] = {}  # each key's first mode
+    mixed: dict[str, set[str]] = {}
     order: list[tuple[str, Optional[StructNode]]] = []
-    for node in nodes:
-        key = anchor_key(node)
+    for node, (key, mode, *_) in zip(nodes, summaries):
         if key is None:
             if warnings is not None:
-                warnings.append(
-                    f"node of type {node.type!r} has no anchor; kept as-is regardless of policy"
-                )
+                warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
             order.append(("", node))
             continue
         if key not in groups:
-            groups[key] = []
+            groups[key], modes[key] = [], mode
             order.append((key, None))
+        elif mode != modes[key]:  # never None: a segless key starts with "node:"
+            mixed.setdefault(key, {modes[key]}).add(mode)
         groups[key].append(node)
     out: list[StructNode] = []
     for key, loose in order:
         if loose is not None:
             out.append(loose)
             continue
-        group = groups[key]
-        modes = {m for m in (_addressing_mode(n) for n in group) if m is not None}
-        if len(modes) > 1:
-            raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(modes)}")
-        out.extend(_merge_group(group, policy, warnings))
+        if key in mixed:
+            raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(mixed[key])}")
+        out.extend(_merge_group(groups[key], key, policy, warnings))
     return out
 
 
 def _merge_group(
-    group: list[StructNode], policy: MergePolicy, warnings: Optional[list[str]]
+    group: list[StructNode], key: str, policy: MergePolicy, warnings: Optional[list[str]]
 ) -> list[StructNode]:
-    if len(group) == 1:
-        return group
-    if policy.on_parallel == KEEP_ALL:
+    if len(group) == 1 or policy.on_parallel == KEEP_ALL:
         return group
     if policy.on_parallel == DEDUP_IDENTICAL:
         distinct: list[StructNode] = []
@@ -222,45 +277,35 @@ def _merge_group(
             if node not in distinct:
                 distinct.append(node)
         return distinct
-    return _fold_group(group, policy, warnings)
+    return _fold_group(group, key, policy, warnings)
 
 
 def _fold_group(
-    group: list[StructNode], policy: MergePolicy, warnings: Optional[list[str]]
+    group: list[StructNode], key: str, policy: MergePolicy, warnings: Optional[list[str]]
 ) -> list[StructNode]:
     if any(node.children for node in group):
         if warnings is not None:
-            warnings.append(
-                f"cannot fold nodes with children over anchor {anchor_key(group[0])!r}; keeping all"
-            )
+            warnings.append(f"cannot fold nodes with children over anchor {key!r}; keeping all")
         return group
     bundles: list[Bundle] = []
     extras: list[Bracket] = []
     for node in group:
-        segs: list[SegmentRef] = []
         features: list[Feature] = []
         alt_bundles: list[Bundle] = []
         rest: list[NodeItem] = []
         for item in node.items:
-            if isinstance(item, SegmentRef):
-                segs.append(item)
-            elif isinstance(item, Feature):
+            if isinstance(item, Feature):
                 features.append(item)
             elif isinstance(item, AltSet):
                 alt_bundles.extend(item.alternatives)
-            else:
+            elif not isinstance(item, SegmentRef):
                 rest.append(item)
         if features and alt_bundles:
             if warnings is not None:
-                warnings.append(
-                    f"cannot fold a node mixing loose features with alternatives over "
-                    f"anchor {anchor_key(node)!r}; keeping all"
-                )
+                warnings.append(f"cannot fold a node mixing loose features with alternatives over anchor {key!r}; "
+                                "keeping all")
             return group
-        if alt_bundles:
-            bundles.extend(alt_bundles)
-        else:
-            bundles.append(tuple(features))
+        bundles.extend(alt_bundles or [tuple(features)])
         if rest:
             # Aggregation: extras stay distinguishable per source node.
             extras.append(Bracket(tuple(rest)))
@@ -272,10 +317,7 @@ def _fold_group(
 
 
 def _fill_confidence(bundle: Bundle, fill: Decimal) -> Bundle:
-    has_confidence = any(
-        isinstance(member, Feature) and member.cat == CONFIDENCE_CAT for member in bundle
-    )
-    if has_confidence:
+    if any(isinstance(member, Feature) and member.cat == CONFIDENCE_CAT for member in bundle):
         return bundle
     return bundle + (Feature(cat=CONFIDENCE_CAT, text=str(fill)),)
 
@@ -310,87 +352,46 @@ def diff(left: GmtDocument, right: GmtDocument) -> DiffReport:
     """Compare two documents anchor by anchor.
 
     Every node carrying a segment reference, at any depth, lands in
-    exactly one entry keyed by its anchor.  Feature bundles are compared
-    as multisets of (category, value); children are compared
-    recursively, except that anchored descendants are judged in their
-    own entries.
+    exactly one entry keyed by its anchor.  Items, bundles, children and
+    nested features are compared as multisets; anchored descendants are
+    judged in their own entries.  One :func:`_scan` per document gives every
+    node its key and an exact fingerprint from a table both documents share.
     """
-    left_nodes = _anchored_nodes(left)
-    right_nodes = _anchored_nodes(right)
+    table: dict[tuple, int] = {}
+    left_nodes, right_nodes = (_anchored_nodes(doc, table) for doc in (left, right))
     entries = []
     for key in sorted(set(left_nodes) | set(right_nodes)):
-        lhs = left_nodes.get(key, [])
-        rhs = right_nodes.get(key, [])
+        lhs, rhs = left_nodes.get(key, []), right_nodes.get(key, [])
         if not rhs:
             entries.append(DiffEntry(key, ONLY_LEFT, _describe(lhs)))
         elif not lhs:
             entries.append(DiffEntry(key, ONLY_RIGHT, _describe(rhs)))
-        elif _bag(map(_fingerprint, lhs)) == _bag(map(_fingerprint, rhs)):
+        elif sorted(fp for _, fp, _ in lhs) == sorted(fp for _, fp, _ in rhs):
             entries.append(DiffEntry(key, BOTH_EQUAL, ""))
         else:
             entries.append(DiffEntry(key, BOTH_DIFFER, _feature_delta(lhs, rhs)))
     return DiffReport(tuple(entries))
 
 
-def _anchored_nodes(doc: GmtDocument) -> dict[str, list[StructNode]]:
-    found: dict[str, list[StructNode]] = {}
-    for _, _, element in walk_elements(doc):
-        if isinstance(element, StructNode) and _has_segs(element):
-            found.setdefault(anchor_key(element), []).append(element)
+def _anchored_nodes(doc: GmtDocument, table: dict[tuple, int]) -> dict[str, list[tuple]]:
+    """Every anchored node's ``(node, fingerprint, items)``, by anchor key."""
+    found: dict[str, list[tuple]] = {}
+    for node, key, mode, fingerprint, items, _ in _scan(doc.root, table):
+        if mode is not None:
+            found.setdefault(key, []).append((node, fingerprint, items))
     return found
 
 
-def _bag(values: Iterable[Hashable]) -> frozenset:
-    """The multiset of ``values``: equal for equal values in any order."""
-    return frozenset(Counter(values).items())
-
-
-def _fingerprint(node: StructNode) -> tuple:
-    """Order-insensitive canonical shape; anchored descendants judged separately."""
-    items = []
-    for item in iter_items(node):
-        if isinstance(item, Feature):
-            items.append(_feature_fp(item))
-        elif isinstance(item, AltSet):
-            bundles = (
-                _bag(_feature_fp(m) if isinstance(m, Feature) else _member_fp(m) for m in b)
-                for b in item.alternatives
-            )
-            items.append(("alt", _bag(bundles)))
-        elif isinstance(item, Relation):
-            items.append(("rel", item.rel_type or "", item.target))
-        elif isinstance(item, SegmentRef):
-            items.append(("seg", seg_key(item)))
-    return (node.type or "", _bag(items), _bag(map(_member_fp, node.children)))
-
-
-def _member_fp(node: StructNode) -> tuple:
-    if _has_segs(node):
-        return ("anchored",)
-    return _fingerprint(node)
-
-
-def _feature_fp(feat: Feature) -> tuple:
-    if feat.target is not None:
-        value: object = ("@", feat.target)
-    elif feat.nested is not None:
-        value = _bag(map(_feature_fp, feat.nested))
-    else:
-        value = feat.text or ""
-    return ("feat", feat.cat, value)
-
-
-def _own_features(nodes: list[StructNode]) -> dict[tuple[str, str], int]:
+def _own_features(nodes: list[tuple]) -> dict[tuple[str, str], int]:
     counts: dict[tuple[str, str], int] = {}
-    for node in nodes:
-        for item in iter_items(node):
+    for _, _, items in nodes:
+        for item in items:
             if isinstance(item, Feature) and item.text is not None:
-                pair = (item.cat, item.text)
-                counts[pair] = counts.get(pair, 0) + 1
+                counts[item.cat, item.text] = counts.get((item.cat, item.text), 0) + 1
     return counts
 
 
-def _feature_delta(lhs: list[StructNode], rhs: list[StructNode]) -> str:
+def _feature_delta(lhs: list[tuple], rhs: list[tuple]) -> str:
     left, right = _own_features(lhs), _own_features(rhs)
     removed = sorted(p for p in left if left[p] > right.get(p, 0))
     added = sorted(p for p in right if right[p] > left.get(p, 0))
@@ -412,6 +413,5 @@ def _feature_delta(lhs: list[StructNode], rhs: list[StructNode]) -> str:
     return " ".join(parts)
 
 
-def _describe(nodes: list[StructNode]) -> str:
-    types = sorted({n.type or "" for n in nodes})
-    return f"{len(nodes)} node(s) of type {', '.join(types)}"
+def _describe(nodes: list[tuple]) -> str:
+    return f"{len(nodes)} node(s) of type {', '.join(sorted({n.type or '' for n, _, _ in nodes}))}"

@@ -214,14 +214,15 @@ def render_path(path: ElementPath) -> str:
     return "".join(reversed(parts))
 
 
-def iter_items(node: StructNode) -> Iterator[NodeItem]:
-    """Yield the node's items, descending through brackets."""
-    stack: list[NodeItem] = list(reversed(node.items))
+def iter_items(node: StructNode) -> tuple[NodeItem, ...]:
+    """The node's items, each bracket followed by its members: ``node.items`` itself when it has no bracket."""
+    if not any(isinstance(item, Bracket) for item in node.items):
+        return node.items
+    items, stack = [], list(reversed(node.items))
     while stack:
-        item = stack.pop()
-        yield item
-        if isinstance(item, Bracket):
-            stack.extend(reversed(item.members))
+        items.append(stack.pop())
+        stack.extend(reversed(items[-1].members) if isinstance(items[-1], Bracket) else ())
+    return tuple(items)
 
 
 @dataclass(frozen=True)

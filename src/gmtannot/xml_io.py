@@ -252,21 +252,20 @@ class _GmtBuilder:
         if content:
             # Stand-off leniency: content nested inside <seg> belongs to the
             # nearest enclosing node, right after the reference itself.
-            self._warn("<seg> with element content; content attached to the enclosing node", frame.pos)
-            self._lift(content)
+            self._warn(f"<seg> with element content; content {self._lift(content)}", frame.pos)
 
-    def _lift(self, members: list) -> None:
-        """Attach members to the nearest enclosing node; inside an unknown element they are dropped with it."""
+    def _lift(self, members: list) -> str:
+        """Attach members to the nearest enclosing node, or drop them inside an unknown element; say which."""
         owner = next(f for f in reversed(self.stack) if f.tag == "struct" or f.row is _UNKNOWN)
         owner.members.extend(members)
+        return "attached to the enclosing node" if owner.tag == "struct" else f"dropped with unknown <{owner.tag}>"
 
     def _close_brack(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
             self._warn("<brack> contains stray text; ignored", frame.pos)
         items, children = self._finish(frame)
         if children:
-            self._warn("<brack> cannot group nodes; nodes attached to the enclosing node", frame.pos)
-            self._lift(children)
+            self._warn(f"<brack> cannot group nodes; nodes {self._lift(children)}", frame.pos)
         parent.members.append(Bracket(members=items))
 
     def _close_endpoint(self, frame: _Frame, parent: _Frame, text: str) -> None:

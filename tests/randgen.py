@@ -317,3 +317,25 @@ def deep_chain_text(depth: int, indent: bool = True) -> str:
     ]
     lines += [pad(level) + "</struct>" for level in range(depth, -1, -1)]
     return "\n".join(lines) + "\n"
+
+
+def deep_segless_text(depth: int, leaf: str = "end") -> str:
+    """An anchored ``<struct>`` over a chain of ``depth`` nodes without segments.
+
+    Every chain node carries the feature ``lemma=x`` except the deepest,
+    whose value is ``leaf``; no element has an id, so merged copies are valid.
+    """
+    chain = '<struct type="c"><feat type="lemma">x</feat>' * (depth - 1)
+    return (
+        '<struct type="W-level"><seg target="#w1"/><feat type="pos">NOUN</feat>'
+        f'{chain}<struct type="c"><feat type="lemma">{leaf}</feat></struct>{"</struct>" * (depth - 1)}</struct>\n'
+    )
+
+
+def deep_feature_text(depth: int, leaf: str = "end") -> str:
+    """An anchored ``<struct>`` below a root, whose one feature nests ``depth`` levels deep down to ``leaf``."""
+    opening, closing = '<feat type="f">' * depth, "</feat>" * depth
+    return (
+        '<struct type="MSAnnot"><struct type="W-level"><seg target="#w1"/>'
+        f'{opening}<feat type="g">{leaf}</feat>{closing}</struct></struct>\n'
+    )

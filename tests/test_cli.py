@@ -12,7 +12,7 @@ import pytest
 from gmtannot import canonicalize_ag, parse_ag, parse_gmt, serialize_gmt
 from gmtannot.cli import main
 from conftest import FIXTURES, load_fixture
-from randgen import deep_chain_text
+from randgen import deep_chain_text, deep_feature_text, deep_segless_text
 
 SENTENCE_XML = str(FIXTURES / "msannot_sentence.xml")
 TOKENS = str(FIXTURES / "msannot_sentence.tokens")
@@ -414,6 +414,35 @@ def test_merge_deep_chain_exits_1_with_one_line(tmp_path, policy):
     assert result.returncode == 1
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("gmtannot: ")
+
+
+@pytest.mark.parametrize("make", [deep_segless_text, deep_feature_text], ids=["segless-chain", "nested-feature"])
+def test_diff_of_3000_deep_nesting_through_the_cli(tmp_path, make):
+    path = tmp_path / "deep.xml"
+    path.write_text(make(3000), encoding="utf-8")
+    result = run_module("diff", str(path), str(path))
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (0, "bothEqual\tids:w1\t\n", "")
+
+
+@pytest.mark.parametrize(
+    "policy, err",
+    [
+        ("keep-all", ""),
+        ("fold-alt", "gmtannot: cannot fold nodes with children over anchor 'ids:w1'; keeping all\n"),
+    ],
+)
+def test_merge_of_an_anchored_node_over_a_3000_deep_chain_through_the_cli(tmp_path, policy, err):
+    # Under dedup, comparing the two copies still recurses through dataclass equality.
+    chain = tmp_path / "chain.xml"
+    chain.write_text(deep_segless_text(3000), encoding="utf-8")
+    out = tmp_path / "out.xml"
+    result = run_module("merge", str(chain), str(chain), "-o", str(out), "--policy", policy)
+    assert (result.returncode, result.stderr) == (0, err)
+    with out.open(encoding="utf-8") as merged:
+        head = [next(merged) for _ in range(4)]
+    out.unlink()  # tens of megabytes of indentation
+    assert head[1:] == ['<struct type="W-level">\n', '  <struct type="W-level">\n', '    <seg target="#w1"/>\n']
 
 
 # ---------------------------------------------------------------------------

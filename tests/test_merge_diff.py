@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
+from typing import Optional
 
 import pytest
 
@@ -35,9 +38,10 @@ from gmtannot import (
     parse_gmt,
     serialize_gmt,
 )
-from gmtannot.merge import POLICIES
+from gmtannot.merge import POLICIES, seg_key
+from gmtannot.model import iter_items
 from conftest import load_fixture
-from randgen import random_mergeable_document
+from randgen import deep_feature_text, deep_segless_text, random_document, random_mergeable_document
 
 
 def single_node_doc(*features: Feature, target: str = "w1", doc_type: str = "W-level") -> GmtDocument:
@@ -387,3 +391,182 @@ def test_segless_anchor_keys_nest_and_escape():
     assert anchor_key(nested) == "node:t:(node:u:(ids:a))"
     assert anchor_key(flat) == "node:t%3Anode%3Au:(ids:a)"
     assert anchor_key(StructNode(type="t", children=(StructNode(type="u"),))) is None
+
+
+# ---------------------------------------------------------------------------
+# deep nesting, exact order-blind fingerprints and one scan per node
+
+
+@pytest.mark.parametrize("make", [deep_segless_text, deep_feature_text], ids=["segless-chain", "nested-feature"])
+def test_diff_handles_3000_deep_nesting(make):
+    left, right = parse_gmt(make(3000))[0], parse_gmt(make(3000))[0]
+    assert [(e.status, e.anchor) for e in diff(left, right).entries] == [(BOTH_EQUAL, "ids:w1")]
+    # The deepest value still counts.
+    edited = parse_gmt(make(3000, leaf="END"))[0]
+    assert [(e.status, e.anchor, e.detail) for e in diff(left, edited).entries] == [
+        (BOTH_DIFFER, "ids:w1", "structure differs")
+    ]
+
+
+@pytest.mark.parametrize("policy", [KEEP_ALL, FOLD_TO_ALT])
+def test_merge_of_an_anchored_node_over_a_3000_deep_chain(policy):
+    docs = [parse_gmt(deep_segless_text(3000))[0] for _ in range(2)]
+    warnings: list[str] = []
+    merged = merge(docs, MergePolicy(policy), warnings)
+    assert merged.root.type == "W-level"
+    assert [child is doc.root for child, doc in zip(merged.root.children, docs)] == [True, True]
+    folded = ["cannot fold nodes with children over anchor 'ids:w1'; keeping all"]
+    assert warnings == ([] if policy == KEEP_ALL else folded)
+
+
+def _reference_statuses(left: GmtDocument, right: GmtDocument) -> dict[str, str]:
+    """diff's statuses from a direct recursive reading of its rules, for shallow documents."""
+
+    def bag(values) -> frozenset:
+        return frozenset(Counter(values).items())
+
+    def feature(feat: Feature) -> tuple:
+        if feat.target is not None:
+            return ("feat", feat.cat, "@", feat.target)
+        if feat.nested is not None:
+            return ("feat", feat.cat, bag(map(feature, feat.nested)))
+        return ("feat", feat.cat, feat.text or "")
+
+    def member(node: StructNode) -> tuple:
+        return ("anchored",) if anchored(node) else fingerprint(node)
+
+    def fingerprint(node: StructNode) -> tuple:
+        items = []
+        for item in iter_items(node):
+            if isinstance(item, Feature):
+                items.append(feature(item))
+            elif isinstance(item, AltSet):
+                bundles = (
+                    bag(feature(m) if isinstance(m, Feature) else member(m) for m in b) for b in item.alternatives
+                )
+                items.append(("alt", bag(bundles)))
+            elif isinstance(item, Relation):
+                items.append(("rel", item.rel_type or "", item.target))
+            elif isinstance(item, SegmentRef):
+                items.append(("seg", seg_key(item)))
+        return (node.type or "", bag(items), bag(map(member, node.children)))
+
+    def anchored(node: StructNode) -> bool:
+        return any(isinstance(item, SegmentRef) for item in iter_items(node))
+
+    def groups(doc: GmtDocument) -> dict[str, list[StructNode]]:
+        found: dict[str, list[StructNode]] = {}
+        for _, node in doc.walk():
+            if anchored(node):
+                found.setdefault(anchor_key(node), []).append(node)
+        return found
+
+    lhs, rhs = groups(left), groups(right)
+    statuses = {}
+    for key in set(lhs) | set(rhs):
+        if key not in rhs:
+            statuses[key] = ONLY_LEFT
+        elif key not in lhs:
+            statuses[key] = ONLY_RIGHT
+        else:
+            equal = bag(map(fingerprint, lhs[key])) == bag(map(fingerprint, rhs[key]))
+            statuses[key] = BOTH_EQUAL if equal else BOTH_DIFFER
+    return statuses
+
+
+def _reversed_node(node: StructNode) -> StructNode:
+    """The node with its items, bundles, bracket members, nested features and children reversed at every level."""
+
+    def member(m):
+        return _reversed_node(m) if isinstance(m, StructNode) else item(m)
+
+    def item(it):
+        if isinstance(it, AltSet):
+            return AltSet(tuple(tuple(map(member, reversed(b))) for b in reversed(it.alternatives)))
+        if isinstance(it, Bracket):
+            return Bracket(tuple(map(item, reversed(it.members))))
+        if isinstance(it, Feature) and it.nested is not None:
+            return replace(it, nested=tuple(map(item, reversed(it.nested))))
+        return it
+
+    return replace(
+        node,
+        items=tuple(map(item, reversed(node.items))),
+        children=tuple(map(_reversed_node, reversed(node.children))),
+    )
+
+
+def _edit_leaf(
+    node: StructNode, target: int, seen: list, field: str = "text", anchor: Optional[str] = None
+) -> StructNode:
+    """The node with the text (or another ``field``) of its ``target``-th leaf feature changed.
+
+    ``seen`` counts leaf features in its first slot and receives, in its
+    second, the key of the edited feature's nearest anchored ancestor.
+    """
+    if any(isinstance(it, SegmentRef) for it in iter_items(node)):
+        anchor = anchor_key(node)
+
+    def member(m):
+        return _edit_leaf(m, target, seen, field, anchor) if isinstance(m, StructNode) else item(m)
+
+    def item(it):
+        if isinstance(it, AltSet):
+            return AltSet(tuple(tuple(map(member, b)) for b in it.alternatives))
+        if isinstance(it, Bracket):
+            return Bracket(tuple(map(item, it.members)))
+        if isinstance(it, Feature) and it.target is None and it.nested is not None:
+            return replace(it, nested=tuple(map(item, it.nested)))
+        if isinstance(it, Feature) and it.target is None:
+            seen[0] += 1
+            if seen[0] == target:
+                seen[1] = anchor
+                return replace(it, **{field: (getattr(it, field) or "") + "~"})
+        return it
+
+    return replace(node, items=tuple(map(item, node.items)), children=tuple(member(c) for c in node.children))
+
+
+def test_diff_is_exact_and_blind_to_order():
+    rng = random.Random(2009)
+    edits_seen = Counter()
+    for k in range(300):
+        make = random_document if k % 2 else random_mergeable_document
+        doc, other = make(rng), make(rng)
+        swapped = GmtDocument(_reversed_node(doc.root))
+        assert diff(doc, swapped).all_equal
+        leaves: list = [0, None]
+        _edit_leaf(doc.root, 0, leaves)
+        edit: list = [0, None]
+        field = "text" if k % 3 else "cat"
+        edited = GmtDocument(_edit_leaf(doc.root, rng.randint(1, leaves[0]) if leaves[0] else 0, edit, field))
+        changed = [(e.status, e.anchor) for e in diff(doc, edited).entries if e.status != BOTH_EQUAL]
+        assert changed == ([] if edit[1] is None else [(BOTH_DIFFER, edit[1])])
+        edits_seen[edit[1] is not None] += 1
+        for left, right in ((doc, other), (doc, edited), (swapped, edited), (other, swapped)):
+            assert {e.anchor: e.status for e in diff(left, right).entries} == _reference_statuses(left, right)
+    assert edits_seen[True] >= 150 and edits_seen[False] >= 10
+
+
+def test_diff_and_merge_scan_each_node_once(monkeypatch):
+    merge_module = importlib.import_module("gmtannot.merge")
+    scans: Counter = Counter()
+    real_iter_items = merge_module.iter_items
+
+    def counting_iter_items(node):
+        scans[id(node)] += 1
+        return real_iter_items(node)
+
+    monkeypatch.setattr(merge_module, "iter_items", counting_iter_items)
+    rng = random.Random(83)
+    for _ in range(40):
+        left, right = random_document(rng), random_document(rng)
+        nodes = {id(node) for doc in (left, right) for _, node in doc.walk()}
+        scans.clear()
+        diff(left, right)
+        assert set(scans) == nodes and set(scans.values()) == {1}
+        for policy in POLICIES:
+            scans.clear()
+            merge([left, right], MergePolicy(policy))
+            assert set(scans) <= nodes and set(scans.values()) == {1}
+            assert {id(child) for doc in (left, right) for child in doc.root.children} <= set(scans)

@@ -27,7 +27,7 @@ from gmtannot import (
     serialize_gmt,
     validate_structure,
 )
-from gmtannot.model import bundle_confidence
+from gmtannot.model import bundle_confidence, iter_items
 from conftest import load_fixture
 from randgen import DocBuilder, random_document
 
@@ -364,3 +364,15 @@ def test_finite_confidence_above_one_still_ranks():
     assert select_preferred_alternative(AltSet((quiet, loud))) == loud
     codes = [f.code for f in validate_structure(GmtDocument(StructNode(items=(AltSet((quiet, loud)),)))).findings]
     assert codes == ["BAD_CONFIDENCE"]
+
+
+def test_iter_items_puts_each_bracket_before_its_members():
+    seg = SegmentRef(IdTargets(("w1",)))
+    inner = Bracket((Feature(cat="b", text="2"),))
+    outer = Bracket((Feature(cat="a", text="1"), inner))
+    node = StructNode(items=(seg, outer, Feature(cat="c", text="3")))
+    assert iter_items(node) == (seg, outer, Feature(cat="a", text="1"), inner, Feature(cat="b", text="2"),
+                                Feature(cat="c", text="3"))
+    # Without a bracket the node's own tuple is returned, so scanning allocates nothing.
+    plain = StructNode(items=(seg, Feature(cat="c", text="3")))
+    assert iter_items(plain) is plain.items

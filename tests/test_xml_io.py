@@ -240,9 +240,18 @@ WARNING_ROWS = [
      [(1, 26, "<seg> in an unexpected position; ignored")]),
     ("seg-element-content", '<struct><seg target="#a"><feat type="x">1</feat></seg></struct>',
      [(1, 9, "<seg> with element content; content attached to the enclosing node")]),
+    ("seg-element-content-in-unknown",
+     '<struct><meta><brack><seg target="#a"><feat type="x">1</feat></seg></brack></meta></struct>',
+     [(1, 9, "unknown element <meta>; skipped"),
+      (1, 22, "<seg> with element content; content dropped with unknown <meta>")]),
     ("brack-stray-text", "<struct><brack>x</brack></struct>", [(1, 9, "<brack> contains stray text; ignored")]),
     ("brack-groups-nodes", "<struct><brack><struct/></brack></struct>",
      [(1, 9, "<brack> cannot group nodes; nodes attached to the enclosing node")]),
+    ("brack-groups-nodes-in-unknown", "<struct><meta><brack><struct/></brack></meta></struct>",
+     [(1, 9, "unknown element <meta>; skipped"),
+      (1, 15, "<brack> cannot group nodes; nodes dropped with unknown <meta>")]),
+    ("brack-groups-nodes-in-nested-brack", "<struct><brack><brack><struct/></brack></brack></struct>",
+     [(1, 16, "<brack> cannot group nodes; nodes attached to the enclosing node")]),
     ("endpoint-unexpected-position", '<struct><seg target="#a"><startsAt target="#0"/></seg></struct>',
      [(1, 26, "<startsAt> in an unexpected position; ignored")]),
     ("unknown-element", "<struct><meta><x/></meta></struct>", [(1, 9, "unknown element <meta>; skipped")]),
