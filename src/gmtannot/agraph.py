@@ -18,8 +18,6 @@ the built-in table covers "P" (phones) and "W" (words).
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .anchoring import build_landmark_table, resolve_seg
@@ -28,8 +26,10 @@ from .model import (
     Feature,
     GmtDocument,
     LandmarkEndpoints,
+    Record,
     SegmentRef,
     StructNode,
+    _set,
     iter_items,
 )
 from .xml_io import _attr
@@ -44,11 +44,13 @@ DEFAULT_TYPE_MAP: dict[str, tuple[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class AgArc:
-    source: str
-    target: str
-    attrs: tuple[tuple[str, str], ...]
+class AgArc(Record):
+    __slots__ = ("source", "target", "attrs")
+
+    def __init__(self, source: str, target: str, attrs: tuple[tuple[str, str], ...]) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "attrs", attrs)
 
     def get(self, name: str) -> Optional[str]:
         for key, value in self.attrs:
@@ -57,10 +59,12 @@ class AgArc:
         return None
 
 
-@dataclass(frozen=True, eq=True)
-class AnnotationGraph:
-    nodes: dict[str, int]
-    arcs: tuple[AgArc, ...]
+class AnnotationGraph(Record):
+    __slots__ = ("nodes", "arcs")
+
+    def __init__(self, nodes: dict[str, int], arcs: tuple[AgArc, ...]) -> None:
+        _set(self, "nodes", nodes)
+        _set(self, "arcs", arcs)
 
 
 def load_type_map(text: str) -> dict[str, tuple[str, str]]:
@@ -95,6 +99,8 @@ def parse_ag(text: str) -> AnnotationGraph:
     non-negative integers, consistent per node id, and non-decreasing
     along each arc.
     """
+    # Imported here: it costs every process that never reads a graph 3 ms.
+    import xml.etree.ElementTree as ET
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

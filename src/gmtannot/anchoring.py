@@ -15,7 +15,6 @@ and character units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedTargetError
@@ -24,8 +23,10 @@ from .model import (
     GmtDocument,
     LandmarkEndpoints,
     PositionalSpan,
+    Record,
     SegmentRef,
     StructNode,
+    _set,
     find_node,
     iter_items,
 )
@@ -46,15 +47,13 @@ class Token(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class TokenIndex:
+class TokenIndex(Record):
     """Sidecar index mapping token ids to character spans of a text."""
+    __slots__ = ("entries", "_by_id")
 
-    entries: tuple[Token, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[Token, ...]) -> None:
         seen: set[str] = set()
-        for token in self.entries:
+        for token in entries:
             if token.start < 0 or token.end < 0:
                 raise TokenIndexError(f"token '{token.id}' has a negative offset")
             if token.start > token.end:
@@ -62,13 +61,14 @@ class TokenIndex:
             if token.id in seen:
                 raise TokenIndexError(f"duplicate token id '{token.id}'")
             seen.add(token.id)
-        object.__setattr__(self, "_by_id", {t.id: t for t in self.entries})
+        _set(self, "entries", entries)
+        _set(self, "_by_id", {t.id: t for t in entries})
 
     def get(self, token_id: str) -> Optional[Token]:
-        return self._by_id.get(token_id)  # type: ignore[attr-defined]
+        return self._by_id.get(token_id)
 
     def __contains__(self, token_id: str) -> bool:
-        return token_id in self._by_id  # type: ignore[attr-defined]
+        return token_id in self._by_id
 
 
 def load_token_index(text: str) -> TokenIndex:
@@ -149,18 +149,21 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
     return table
 
 
-@dataclass(frozen=True)
-class ResolvedSpan:
+class ResolvedSpan(Record):
     """Where a segment reference points after resolution.
 
     Either a concrete ``(start, end)`` span in some source, or -- for
     object-based anchoring -- the identifiers of the target nodes.
     """
+    __slots__ = ("layer", "start", "end", "target_nodes")
 
-    layer: str
-    start: Optional[int] = None
-    end: Optional[int] = None
-    target_nodes: tuple[str, ...] = ()
+    def __init__(
+        self, layer: str, start: Optional[int] = None, end: Optional[int] = None, target_nodes: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "layer", layer)
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "target_nodes", target_nodes)
 
     @property
     def is_span(self) -> bool:

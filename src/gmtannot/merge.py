@@ -17,7 +17,6 @@ per-source brackets; nodes with children fall back to keep-all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Optional
 
@@ -32,9 +31,11 @@ from .model import (
     IdTargets,
     NodeItem,
     PositionalSpan,
+    Record,
     Relation,
     SegmentRef,
     StructNode,
+    _set,
     iter_items,
 )
 
@@ -49,18 +50,19 @@ BOTH_EQUAL = "bothEqual"
 BOTH_DIFFER = "bothDiffer"
 
 
-@dataclass(frozen=True)
-class MergePolicy:
+class MergePolicy(Record):
     """How parallel annotations over one anchor are combined."""
+    __slots__ = ("on_parallel", "alt_confidence_fill")
 
-    on_parallel: str = KEEP_ALL
-    alt_confidence_fill: Decimal = Decimal(0)
-
-    def __post_init__(self) -> None:
-        if self.on_parallel not in POLICIES:
-            raise ValueError(f"unknown policy {self.on_parallel!r}; pick one of {POLICIES}")
-        if not (0 <= self.alt_confidence_fill <= 1):
+    def __init__(self, on_parallel: str = KEEP_ALL, alt_confidence_fill: Decimal = Decimal(0)) -> None:
+        if on_parallel not in POLICIES:
+            raise ValueError(f"unknown policy {on_parallel!r}; pick one of {POLICIES}")
+        fill = alt_confidence_fill
+        # A NaN would make the range test raise InvalidOperation, which is no ValueError.
+        if isinstance(fill, Decimal) and fill.is_nan() or not 0 <= fill <= 1:
             raise ValueError("alt_confidence_fill must lie in [0, 1]")
+        _set(self, "on_parallel", on_parallel)
+        _set(self, "alt_confidence_fill", fill)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +328,21 @@ def _fill_confidence(bundle: Bundle, fill: Decimal) -> Bundle:
 # diff
 
 
-@dataclass(frozen=True)
-class DiffEntry:
-    anchor: str
-    status: str
-    detail: str
+class DiffEntry(Record):
+    __slots__ = ("anchor", "status", "detail")
+
+    def __init__(self, anchor: str, status: str, detail: str) -> None:
+        _set(self, "anchor", anchor)
+        _set(self, "status", status)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Record):
     """Anchor-aligned comparison of two documents."""
+    __slots__ = ("entries",)
 
-    entries: tuple[DiffEntry, ...]
+    def __init__(self, entries: tuple[DiffEntry, ...]) -> None:
+        _set(self, "entries", entries)
 
     @property
     def all_equal(self) -> bool:

@@ -13,9 +13,9 @@ violation into a finding instead of an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, Optional, Union
+from operator import attrgetter
+from typing import Any, Iterator, Optional, TypeVar, Union
 
 ERROR = "error"
 WARNING = "warning"
@@ -23,20 +23,79 @@ WARNING = "warning"
 #: Data category consulted by alternative selection.
 CONFIDENCE_CAT = "confidence"
 
+R = TypeVar("R", bound="Record")
 
-@dataclass(frozen=True)
-class Feature:
+
+#: Writes a slot of a record, which refuses assignment: for constructors and caches.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value records.
+
+    A subclass lists its fields in ``__slots__`` in ``__init__`` order and
+    writes each with ``_set``.  Slots named with a leading ``_`` hold caches,
+    which ``==``, ``hash``, ``repr``, pickling and :func:`replace` ignore.
+    Records are equal when of the same class and with equal fields.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # A C getter: with a getattr loop, ``node not in distinct`` doubles a dedup merge's time.
+        key = attrgetter(*fields) if fields else lambda record: ()
+
+        def __eq__(self: Record, other: object) -> Any:
+            return key(self) == key(other) if type(other) is type(self) else NotImplemented
+
+        cls.__eq__ = __eq__  # type: ignore[method-assign]
+        cls.__hash__ = lambda self: hash(key(self))  # type: ignore[method-assign]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        # A loop, not a comprehension, so that a deep tree adds one frame per level.
+        parts = []
+        for name in self._fields:
+            parts.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__qualname__}({', '.join(parts)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+def replace(value: R, **changes: Any) -> R:
+    """A copy of the record ``value`` with the named fields changed; an unknown name is a TypeError."""
+    fields = {name: getattr(value, name) for name in value._fields}
+    fields.update(changes)
+    return type(value)(**fields)
+
+
+class Feature(Record):
     """One information unit: a data category name plus a value.
 
     Exactly one of ``text``, ``nested`` or ``target`` should be populated;
     ``text`` holds a literal value, ``nested`` a complex feature structure,
     and ``target`` a pointer to an object that provides the value.
     """
+    __slots__ = ("cat", "text", "nested", "target")
 
-    cat: str
-    text: Optional[str] = None
-    nested: Optional[tuple["Feature", ...]] = None
-    target: Optional[str] = None
+    def __init__(
+        self,
+        cat: str,
+        text: Optional[str] = None,
+        nested: Optional[tuple[Feature, ...]] = None,
+        target: Optional[str] = None,
+    ) -> None:
+        _set(self, "cat", cat)
+        _set(self, "text", text)
+        _set(self, "nested", nested)
+        _set(self, "target", target)
 
 
 #: One alternative reading: features, plus nested nodes for structural
@@ -44,80 +103,96 @@ class Feature:
 Bundle = tuple[Union[Feature, "StructNode"], ...]
 
 
-@dataclass(frozen=True)
-class AltSet:
+class AltSet(Record):
     """A set of mutually exclusive alternative annotations."""
+    __slots__ = ("alternatives",)
 
-    alternatives: tuple[Bundle, ...]
+    def __init__(self, alternatives: tuple[Bundle, ...]) -> None:
+        _set(self, "alternatives", alternatives)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A directional pointer to a related node (this node -> target)."""
+    __slots__ = ("target", "rel_type")
 
-    target: str
-    rel_type: Optional[str] = None
+    def __init__(self, target: str, rel_type: Optional[str] = None) -> None:
+        _set(self, "target", target)
+        _set(self, "rel_type", rel_type)
 
 
-@dataclass(frozen=True)
-class IdTargets:
+class IdTargets(Record):
     """Addressing by identifier: one or more token or node ids."""
+    __slots__ = ("ids",)
 
-    ids: tuple[str, ...]
+    def __init__(self, ids: tuple[str, ...]) -> None:
+        _set(self, "ids", ids)
 
 
-@dataclass(frozen=True)
-class PositionalSpan:
+class PositionalSpan(Record):
     """Addressing by explicit start/end offsets in the primary data."""
+    __slots__ = ("start", "end")
 
-    start: int
-    end: int
+    def __init__(self, start: int, end: int) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
-@dataclass(frozen=True)
-class LandmarkEndpoints:
+class LandmarkEndpoints(Record):
     """Addressing by a pair of landmark node identifiers."""
+    __slots__ = ("start", "end")
 
-    start: str
-    end: str
+    def __init__(self, start: str, end: str) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 Addressing = Union[IdTargets, PositionalSpan, LandmarkEndpoints]
 
 
-@dataclass(frozen=True)
-class SegmentRef:
+class SegmentRef(Record):
     """A pointer to the data the enclosing node annotates."""
+    __slots__ = ("addr",)
 
-    addr: Addressing
+    def __init__(self, addr: Addressing) -> None:
+        _set(self, "addr", addr)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """An ordered grouping of items to be regarded as a unit."""
+    __slots__ = ("members",)
 
-    members: tuple["NodeItem", ...]
+    def __init__(self, members: tuple[NodeItem, ...]) -> None:
+        _set(self, "members", members)
 
 
 NodeItem = Union[Feature, AltSet, Relation, SegmentRef, Bracket]
 
 
-@dataclass(frozen=True)
-class StructNode:
+class StructNode(Record):
     """A structural node of the annotation; may nest recursively."""
+    __slots__ = ("type", "id", "ref", "items", "children")
 
-    type: Optional[str] = None
-    id: Optional[str] = None
-    ref: Optional[str] = None
-    items: tuple[NodeItem, ...] = ()
-    children: tuple["StructNode", ...] = ()
+    def __init__(
+        self,
+        type: Optional[str] = None,
+        id: Optional[str] = None,
+        ref: Optional[str] = None,
+        items: tuple[NodeItem, ...] = (),
+        children: tuple[StructNode, ...] = (),
+    ) -> None:
+        _set(self, "type", type)
+        _set(self, "id", id)
+        _set(self, "ref", ref)
+        _set(self, "items", items)
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class GmtDocument:
+class GmtDocument(Record):
     """One stand-off annotation layer: the tree under a single root node."""
+    __slots__ = ("root", "_node_index")
 
-    root: StructNode
+    def __init__(self, root: StructNode) -> None:
+        _set(self, "root", root)
 
     @property
     def doc_type(self) -> str:
@@ -225,21 +300,23 @@ def iter_items(node: StructNode) -> tuple[NodeItem, ...]:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """A single validation result."""
+    __slots__ = ("severity", "code", "path", "message")
 
-    severity: str
-    code: str
-    path: str
-    message: str
+    def __init__(self, severity: str, code: str, path: str, message: str) -> None:
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "path", path)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Ordered list of findings; an empty report means the document is valid."""
+    __slots__ = ("findings",)
 
-    findings: tuple[Finding, ...] = ()
+    def __init__(self, findings: tuple[Finding, ...] = ()) -> None:
+        _set(self, "findings", findings)
 
     @property
     def errors(self) -> tuple[Finding, ...]:
@@ -350,14 +427,13 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
     each later lookup costs O(1).
     """
     try:
-        index = doc._node_index  # type: ignore[attr-defined]
+        index = doc._node_index
     except AttributeError:
         index = {}
         for _, _, element in walk_elements(doc):
             if isinstance(element, StructNode):
                 index.setdefault(element.id, element)
-        # Not a dataclass field, so equality, hashing and repr ignore it.
-        object.__setattr__(doc, "_node_index", index)
+        _set(doc, "_node_index", index)
     return index.get(node_id)
 
 

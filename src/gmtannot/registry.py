@@ -13,63 +13,60 @@ File format (UTF-8, ``#`` comments)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from importlib import resources
 from typing import Optional, Union
 
 from .errors import RegistryError
-from .model import ERROR, Feature, Finding, GmtDocument, ValidationReport, render_path, walk_elements
+from .model import ERROR, Feature, Finding, GmtDocument, Record, ValidationReport, _set, render_path, walk_elements
 
 
-@dataclass(frozen=True)
-class OpenText:
+class OpenText(Record):
     """Any literal value is acceptable."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(Record):
     """The value must be one of a fixed set of strings."""
+    __slots__ = ("values",)
 
-    values: tuple[str, ...]
+    def __init__(self, values: tuple[str, ...]) -> None:
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class DecimalRange:
+class DecimalRange(Record):
     """The value must parse as a decimal within [lo, hi]."""
+    __slots__ = ("lo", "hi")
 
-    lo: Decimal
-    hi: Decimal
+    def __init__(self, lo: Decimal, hi: Decimal) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(Record):
     """The value is supplied by a target object in another document."""
+    __slots__ = ()
 
 
 ValueKind = Union[OpenText, ClosedSet, DecimalRange, Reference]
 
 
-@dataclass(frozen=True)
-class CategoryDef:
-    name: str
-    kind: ValueKind
-    parent: Optional[str] = None
-    aliases: tuple[str, ...] = ()
+class CategoryDef(Record):
+    __slots__ = ("name", "kind", "parent", "aliases")
+
+    def __init__(self, name: str, kind: ValueKind, parent: Optional[str] = None, aliases: tuple[str, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "parent", parent)
+        _set(self, "aliases", aliases)
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Record):
     """Immutable map of category definitions with alias resolution."""
+    __slots__ = ("categories", "_aliases")
 
-    categories: dict[str, CategoryDef] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        aliases: dict[str, str] = {}
-        for cat in self.categories.values():
-            for alias in cat.aliases:
-                aliases[alias] = cat.name
-        object.__setattr__(self, "_aliases", aliases)
+    def __init__(self, categories: Optional[dict[str, CategoryDef]] = None) -> None:
+        _set(self, "categories", {} if categories is None else categories)
+        _set(self, "_aliases", {alias: cat.name for cat in self.categories.values() for alias in cat.aliases})
 
     def __len__(self) -> int:
         return len(self.categories)
@@ -78,7 +75,7 @@ class Registry:
         """Look up a category by canonical name or alias."""
         if name in self.categories:
             return self.categories[name]
-        canonical = self._aliases.get(name)  # type: ignore[attr-defined]
+        canonical = self._aliases.get(name)
         return self.categories.get(canonical) if canonical is not None else None
 
 
@@ -173,6 +170,7 @@ def _parse_kind(value: str, lineno: int) -> ValueKind:
 
 def default_registry() -> Registry:
     """The registry bundled with the package."""
+    from importlib import resources  # here, not at the top: on Python 3.12 it imports inspect
     text = resources.files("gmtannot.data").joinpath("default_registry.txt").read_text("utf-8")
     return load_registry(text)
 

@@ -32,6 +32,18 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_element_tree():
+    # Each of these costs every CLI process milliseconds that it does not need;
+    # ElementTree is imported by parse_ag, its only user.  -S leaves out what
+    # the environment's site hooks import, so only gmtannot's imports count.
+    code = "import sys, gmtannot.cli; print(sorted({'dataclasses', 'inspect', 'xml.etree.ElementTree'} & set(sys.modules)))"
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -433,7 +445,7 @@ def test_diff_of_3000_deep_nesting_through_the_cli(tmp_path, make):
     ],
 )
 def test_merge_of_an_anchored_node_over_a_3000_deep_chain_through_the_cli(tmp_path, policy, err):
-    # Under dedup, comparing the two copies still recurses through dataclass equality.
+    # Under dedup, comparing the two copies still recurses through record equality.
     chain = tmp_path / "chain.xml"
     chain.write_text(deep_segless_text(3000), encoding="utf-8")
     out = tmp_path / "out.xml"

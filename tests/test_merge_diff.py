@@ -6,7 +6,6 @@ import importlib
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from typing import Optional
 
@@ -39,7 +38,7 @@ from gmtannot import (
     serialize_gmt,
 )
 from gmtannot.merge import POLICIES, seg_key
-from gmtannot.model import iter_items
+from gmtannot.model import iter_items, replace
 from conftest import load_fixture
 from randgen import deep_feature_text, deep_segless_text, random_document, random_mergeable_document
 
@@ -131,6 +130,13 @@ def test_merge_rejects_mixed_doc_types():
     b, _ = parse_gmt(load_fixture("msannot_fusion_du.xml"))
     with pytest.raises(MergeError, match="mixed document types"):
         merge([a, b])
+
+
+@pytest.mark.parametrize("fill", ["NaN", "sNaN", "-NaN", "Infinity", "-0.1", "1.01"])
+def test_merge_policy_refuses_a_fill_outside_the_unit_interval_with_value_error(fill):
+    # A NaN used to escape the range test as decimal.InvalidOperation, which is no ValueError.
+    with pytest.raises(ValueError, match="alt_confidence_fill"):
+        MergePolicy(FOLD_TO_ALT, alt_confidence_fill=Decimal(fill))
 
 
 def test_merge_rejects_mixed_addressing_modes_for_one_anchor():

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import pickle
 import random
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -27,7 +28,11 @@ from gmtannot import (
     serialize_gmt,
     validate_structure,
 )
-from gmtannot.model import bundle_confidence, iter_items
+from gmtannot.agraph import AgArc, AnnotationGraph
+from gmtannot.anchoring import ResolvedSpan, Token, TokenIndex
+from gmtannot.merge import FOLD_TO_ALT, DiffEntry, DiffReport, MergePolicy
+from gmtannot.model import Finding, ValidationReport, bundle_confidence, iter_items, replace
+from gmtannot.registry import CategoryDef, ClosedSet, DecimalRange, OpenText, Reference, Registry
 from conftest import load_fixture
 from randgen import DocBuilder, random_document
 
@@ -69,7 +74,7 @@ def test_roots_is_the_root_alone():
     doc = GmtDocument(root)
     assert doc.root is root
     assert doc.roots == (root,)
-    assert [f.name for f in dataclasses.fields(GmtDocument)] == ["root"]
+    assert GmtDocument._fields == ("root",)
 
 
 def test_validate_duplicate_id():
@@ -376,3 +381,139 @@ def test_iter_items_puts_each_bracket_before_its_members():
     # Without a bracket the node's own tuple is returned, so scanning allocates nothing.
     plain = StructNode(items=(seg, Feature(cat="c", text="3")))
     assert iter_items(plain) is plain.items
+
+
+# ---------------------------------------------------------------------------
+# the record contract
+
+N, V = Feature("pos", "N"), Feature("pos", "V")
+
+#: (factory, changes for replace, repr recorded from the earlier dataclass form), one per record class.
+RECORDS = [
+    (lambda: N, {"text": "V"}, "Feature(cat='pos', text='N', nested=None, target=None)"),
+    (
+        lambda: AltSet(((N,), (V, StructNode(type="m")))),
+        {"alternatives": ()},
+        "AltSet(alternatives=((Feature(cat='pos', text='N', nested=None, target=None),), "
+        "(Feature(cat='pos', text='V', nested=None, target=None), "
+        "StructNode(type='m', id=None, ref=None, items=(), children=()))))",
+    ),
+    (lambda: Relation("n2", "head"), {"rel_type": None}, "Relation(target='n2', rel_type='head')"),
+    (lambda: IdTargets(("w1", "w2")), {"ids": ("w3",)}, "IdTargets(ids=('w1', 'w2'))"),
+    (lambda: PositionalSpan(0, 4), {"end": 5}, "PositionalSpan(start=0, end=4)"),
+    (lambda: LandmarkEndpoints("a", "b"), {"start": "c"}, "LandmarkEndpoints(start='a', end='b')"),
+    (lambda: SegmentRef(IdTargets(("w1",))), {"addr": PositionalSpan(1, 2)}, "SegmentRef(addr=IdTargets(ids=('w1',)))"),
+    (
+        lambda: Bracket((N, Relation("n1"))),
+        {"members": (V,)},
+        "Bracket(members=(Feature(cat='pos', text='N', nested=None, target=None), Relation(target='n1', rel_type=None)))",
+    ),
+    (
+        lambda: StructNode(type="w", id="n1", items=(N,), children=(StructNode(),)),
+        {"id": "n2", "children": ()},
+        "StructNode(type='w', id='n1', ref=None, items=(Feature(cat='pos', text='N', nested=None, target=None),), "
+        "children=(StructNode(type=None, id=None, ref=None, items=(), children=()),))",
+    ),
+    (
+        lambda: GmtDocument(StructNode(type="x")),
+        {"root": StructNode(type="y")},
+        "GmtDocument(root=StructNode(type='x', id=None, ref=None, items=(), children=()))",
+    ),
+    (
+        lambda: Finding("error", "EMPTY_ID", "/struct[1]", "node id must be non-empty"),
+        {"code": "X"},
+        "Finding(severity='error', code='EMPTY_ID', path='/struct[1]', message='node id must be non-empty')",
+    ),
+    (
+        lambda: ValidationReport((Finding("warning", "C", "/struct[1]", "m"),)),
+        {"findings": ()},
+        "ValidationReport(findings=(Finding(severity='warning', code='C', path='/struct[1]', message='m'),))",
+    ),
+    (OpenText, {}, "OpenText()"),
+    (lambda: ClosedSet(("N", "V")), {"values": ("A",)}, "ClosedSet(values=('N', 'V'))"),
+    (lambda: DecimalRange(Decimal("0"), Decimal("1.5")), {"hi": Decimal(2)}, "DecimalRange(lo=Decimal('0'), hi=Decimal('1.5'))"),
+    (Reference, {}, "Reference()"),
+    (
+        lambda: CategoryDef("pos", ClosedSet(("N", "V")), aliases=("POS",)),
+        {"parent": "cat"},
+        "CategoryDef(name='pos', kind=ClosedSet(values=('N', 'V')), parent=None, aliases=('POS',))",
+    ),
+    (
+        lambda: Registry({"pos": CategoryDef("pos", OpenText(), parent="cat")}),
+        {"categories": {}},
+        "Registry(categories={'pos': CategoryDef(name='pos', kind=OpenText(), parent='cat', aliases=())})",
+    ),
+    (
+        lambda: MergePolicy(FOLD_TO_ALT, Decimal("0.5")),
+        {"alt_confidence_fill": Decimal(1)},
+        "MergePolicy(on_parallel='fold-alt', alt_confidence_fill=Decimal('0.5'))",
+    ),
+    (
+        lambda: DiffEntry("ids:w1", "bothDiffer", "pos:N->V"),
+        {"detail": ""},
+        "DiffEntry(anchor='ids:w1', status='bothDiffer', detail='pos:N->V')",
+    ),
+    (
+        lambda: DiffReport((DiffEntry("ids:w1", "onlyLeft", ""),)),
+        {"entries": ()},
+        "DiffReport(entries=(DiffEntry(anchor='ids:w1', status='onlyLeft', detail=''),))",
+    ),
+    (lambda: TokenIndex((Token("w1", 0, 4),)), {"entries": ()}, "TokenIndex(entries=(Token(id='w1', start=0, end=4),))"),
+    (
+        lambda: ResolvedSpan("primary", 0, 4),
+        {"end": 5},
+        "ResolvedSpan(layer='primary', start=0, end=4, target_nodes=())",
+    ),
+    (lambda: AgArc("0", "1", (("att_1", "P"),)), {"target": "2"}, "AgArc(source='0', target='1', attrs=(('att_1', 'P'),))"),
+    (
+        lambda: AnnotationGraph({"0": 0, "1": 5}, (AgArc("0", "1", ()),)),
+        {"nodes": {}},
+        "AnnotationGraph(nodes={'0': 0, '1': 5}, arcs=(AgArc(source='0', target='1', attrs=()),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, changes, golden", RECORDS, ids=[golden.split("(")[0] for _, _, golden in RECORDS])
+def test_record_contract(make, changes, golden):
+    value, twin = make(), make()
+    assert repr(value) == golden
+    for name in value._fields or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin and not value != twin
+    if any(isinstance(getattr(value, name), dict) for name in value._fields):
+        with pytest.raises(TypeError):  # a dict field makes the record unhashable, as it did the dataclass
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert other == value and other is not value and type(other) is type(value)
+    assert weakref.ref(value)() is value
+    changed = replace(value, **changes)
+    assert type(changed) is type(value) and replace(value) == value
+    for name in value._fields:
+        assert getattr(changed, name) == changes.get(name, getattr(value, name))
+    with pytest.raises(TypeError):
+        replace(value, no_such_field=1)
+
+
+def test_records_of_different_classes_differ_on_equal_fields():
+    assert PositionalSpan("a", "b") != LandmarkEndpoints("a", "b")  # type: ignore[arg-type]
+    assert LandmarkEndpoints("a", "b") != PositionalSpan("a", "b")  # type: ignore[arg-type]
+    assert OpenText() != Reference() and OpenText() == OpenText()
+    assert IdTargets(("w1",)) != ("w1",)
+
+
+def test_equality_hash_and_repr_hold_on_a_200_deep_chain():
+    def chain() -> StructNode:
+        node = StructNode()
+        for _ in range(200):
+            node = StructNode(type="n", children=(node,))
+        return node
+
+    left, right = chain(), chain()
+    assert left == right
+    assert hash(left) == hash(right)
+    assert repr(left) == repr(right)
