@@ -113,10 +113,11 @@ def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterato
     ``key`` is the :func:`anchor_key`, ``mode`` the class name of the first segment's addressing
     (None without segments), ``items`` the node's one ``iter_items`` scan, ``children`` a
     ``(key, mode, id)`` per child.  Without a ``table`` the walk stops at nodes with segments.
-    With one it covers bundles and nested features too, and ``fingerprint`` is the table's id
-    of ``(type, sorted item ids, sorted child ids)``, a child with segments having id -1.  Items,
-    bundles and features get ids from tuples tagged by their kind, so equal ids mean equal
-    content up to the order of items, bundles, children and nested features.
+    With one it covers bundles and nested features too, a node without segments gets no key
+    (nothing reads it), and ``fingerprint`` is the table's id of ``(type, sorted item ids, sorted
+    child ids)``, a child with segments having id -1.  Items, bundles and features get ids from
+    tuples tagged by their kind, so equal ids mean equal content up to the order of items,
+    bundles, children and nested features.
     """
 
     def intern(canonical: tuple) -> int:
@@ -153,40 +154,42 @@ def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterato
                         parts.append(item)
                 if table is not None or not segs:
                     parts += element.children
-            stack.append((element, items, segs, len(done)))
             if parts:
+                stack.append((element, items, segs, len(done)))
                 stack += reversed(parts)  # the first part is finished first
+                continue
+            taken = []  # nothing below: the element closes where it opens
         else:
             element, items, segs, start = element
             taken = done[start:]
             del done[start:]
-            below = iter(taken)
-            if isinstance(element, Feature):
-                done.append((None, None, intern(("feat", element.cat, "nested", *sorted(map(member_id, items))))))
-                continue
-            # The children's results come after those of bundle members and nested features.
-            children = taken[len(taken) - len(element.children):] if taken else taken
-            seg_keys = sorted(map(seg_key, segs))
-            key: Optional[str] = "&".join(seg_keys)
-            if not segs:
-                keys = sorted(k for k, _, _ in children if k is not None)
-                key = f"node:{_escape(element.type or '')}:({';'.join(keys)})" if keys else None
-            mode = type(segs[0].addr).__name__ if segs else None
-            fingerprint = None
-            if table is not None:
-                ids = [intern(("seg", k)) for k in seg_keys]
-                for item in items:
-                    if isinstance(item, Feature):
-                        ids.append(member_id(item))
-                    elif isinstance(item, AltSet):
-                        bundles = (intern(("bundle", *sorted(map(member_id, b)))) for b in item.alternatives)
-                        ids.append(intern(("alt", *sorted(bundles))))
-                    elif isinstance(item, Relation):
-                        ids.append(intern(("rel", item.rel_type or "", item.target)))
-                members = tuple(sorted([c[2] for c in children])) if children else ()
-                fingerprint = intern((element.type or "", tuple(sorted(ids)), members))
-            done.append((key, mode, -1 if segs else fingerprint))
-            yield element, key, mode, fingerprint, items, children
+        below = iter(taken)
+        if isinstance(element, Feature):
+            done.append((None, None, intern(("feat", element.cat, "nested", *sorted(map(member_id, items))))))
+            continue
+        # The children's results come after those of bundle members and nested features.
+        children = taken[len(taken) - len(element.children):] if taken else taken
+        seg_keys = sorted(map(seg_key, segs))
+        key: Optional[str] = "&".join(seg_keys)
+        if not segs:  # with a table, nothing reads the key of a node without segments
+            keys = sorted(k for k, _, _ in children if k is not None) if table is None else None
+            key = f"node:{_escape(element.type or '')}:({';'.join(keys)})" if keys else None
+        mode = type(segs[0].addr).__name__ if segs else None
+        fingerprint = None
+        if table is not None:
+            ids = [intern(("seg", k)) for k in seg_keys]
+            for item in items:
+                if isinstance(item, Feature):
+                    ids.append(member_id(item))
+                elif isinstance(item, AltSet):
+                    bundles = (intern(("bundle", *sorted(map(member_id, b)))) for b in item.alternatives)
+                    ids.append(intern(("alt", *sorted(bundles))))
+                elif isinstance(item, Relation):
+                    ids.append(intern(("rel", item.rel_type or "", item.target)))
+            members = tuple(sorted([c[2] for c in children])) if children else ()
+            fingerprint = intern((element.type or "", tuple(sorted(ids)), members))
+        done.append((key, mode, -1 if segs else fingerprint))
+        yield element, key, mode, fingerprint, items, children
 
 
 # ---------------------------------------------------------------------------

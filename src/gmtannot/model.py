@@ -291,7 +291,7 @@ def render_path(path: ElementPath) -> str:
 
 def iter_items(node: StructNode) -> tuple[NodeItem, ...]:
     """The node's items, each bracket followed by its members: ``node.items`` itself when it has no bracket."""
-    if not any(isinstance(item, Bracket) for item in node.items):
+    if Bracket not in map(type, node.items):
         return node.items
     items, stack = [], list(reversed(node.items))
     while stack:

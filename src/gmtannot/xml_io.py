@@ -31,25 +31,28 @@ the cyclic collector.  Within one document, equal leaf features (same
 category, same text, no nested value) are one shared object; the model
 is immutable, so ``==``, paths and the writer cannot tell.
 
-Serialization is canonical: UTF-8 with an XML declaration, two-space
-indentation, fixed attribute order (type, id, ref, then addressing),
-single targets in fragment form (``target="#id"``), multiple targets as
-bare ids (``targets="id1 id2"``), positional spans as startsAt/endsAt
-attributes and landmark spans as a ``<startsAt/>``/``<endsAt/>`` element
-pair.  Tab, newline and carriage return in attribute values, and
-carriage return in text, are written as character references.  Feature
-text is otherwise emitted verbatim, so values must carry no leading or
-trailing whitespace (the parser trims them) for the round-trip
+The writer checks each element as it writes it, and reports the first
+``validate_structure`` error of a document it refuses.  Serialization is
+canonical: UTF-8 with an XML declaration, two-space indentation, fixed
+attribute order (type, id, ref, then addressing), single targets in
+fragment form (``target="#id"``), multiple targets as bare ids
+(``targets="id1 id2"``), positional spans as startsAt/endsAt attributes
+and landmark spans as a ``<startsAt/>``/``<endsAt/>`` element pair.
+Tab, newline and carriage return in attribute values, and carriage
+return in text, are written as character references.  Feature text is
+otherwise emitted verbatim, so values must carry no leading or trailing
+whitespace (the parser trims them) for the round-trip
 ``parse(serialize(doc)) == doc`` to hold.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 from xml.parsers import expat
 
 from .errors import GmtParseError, GmtSerializeError
 from .model import (
+    CONFIDENCE_CAT,
     AltSet,
     Bracket,
     Feature,
@@ -61,6 +64,7 @@ from .model import (
     Relation,
     SegmentRef,
     StructNode,
+    _finite_decimal,
     validate_structure,
 )
 
@@ -398,30 +402,92 @@ def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:
 # serialization
 
 
+_CONTENT_SPECIALS = frozenset("&<>\r")  # what _content rewrites
+_ATTR_SPECIALS = frozenset('&<>\r"\t\n')  # what _attr rewrites
+
+
 def _attr(value: str) -> str:
     # Character references keep tab, newline and carriage return through
     # attribute-value normalization, which turns them into spaces.
-    value = _content(value).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+    if not _ATTR_SPECIALS.isdisjoint(value):
+        value = _content(value).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
     return f'"{value}"'
 
 
 def _content(value: str) -> str:
     # A literal carriage return would be read back as a newline.
+    if _CONTENT_SPECIALS.isdisjoint(value):
+        return value
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
 def serialize_gmt(doc: GmtDocument) -> str:
     """Write a document in canonical GMT XML.
 
-    The document must pass :func:`validate_structure` with zero errors;
-    otherwise serialization is refused.
+    Each element is checked as it is written: a document with any
+    :func:`validate_structure` error is refused with the first of them.
     """
-    report = validate_structure(doc)
-    if not report.ok:
-        first = report.errors[0]
-        raise GmtSerializeError(f"invalid document: {first.code} at {first.path}: {first.message}")
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    _write_struct(doc.root, lines)
+    seen_ids: set[str] = set()
+    # A frame: the values to write, their indentation, the closing line of their element (None
+    # for an alternative set, whose bundles are the elements) and whether they form a bundle.
+    stack: list[tuple[Iterator, str, Optional[str], bool]] = [(iter((doc.root,)), "", None, False)]
+    while stack:
+        values, pad, closing, in_bundle = stack[-1]
+        for value in values:
+            cls = type(value)
+            if cls is Feature:
+                if in_bundle and value.cat == CONFIDENCE_CAT:
+                    confidence = _finite_decimal(value.text)
+                    if confidence is None or not 0 <= confidence <= 1:
+                        _refuse(doc)
+                if value.target is not None:
+                    if value.text is not None or value.nested is not None:
+                        _refuse(doc)
+                    lines.append(f"{pad}<feat type={_attr(value.cat)} target={_attr('#' + value.target)}/>")
+                    continue
+                if value.nested is None:
+                    if value.text is None:
+                        _refuse(doc)
+                    lines.append(f"{pad}<feat type={_attr(value.cat)}>{_content(value.text)}</feat>")
+                    continue
+                if value.text is not None or not value.nested:
+                    _refuse(doc)
+                tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
+            elif cls is StructNode:
+                if value.id is not None:
+                    if not value.id or value.id in seen_ids:
+                        _refuse(doc)
+                    seen_ids.add(value.id)
+                tag, attrs, content = "struct", _struct_attrs(value), value.items + value.children
+            elif cls is SegmentRef:
+                _write_seg(value, pad, lines, doc)
+                continue
+            elif cls is AltSet:
+                if len(value.alternatives) < 2:
+                    _refuse(doc)
+                stack.append((iter(value.alternatives), pad, None, False))
+                break
+            elif cls is tuple:  # one bundle of an alternative set
+                tag, attrs, content = "alt", "", value
+            elif cls is Relation:
+                if not value.target:
+                    _refuse(doc)
+                type_part = f" type={_attr(value.rel_type)}" if value.rel_type is not None else ""
+                lines.append(f"{pad}<rel{type_part} target={_attr('#' + value.target)}/>")
+                continue
+            else:
+                tag, attrs, content = "brack", "", value.members
+            if not content:
+                lines.append(f"{pad}<{tag}{attrs}/>")
+                continue
+            lines.append(f"{pad}<{tag}{attrs}>")
+            stack.append((iter(content), pad + "  ", f"{pad}</{tag}>", cls is tuple))
+            break
+        else:
+            stack.pop()
+            if closing is not None:
+                lines.append(closing)
     return "\n".join(lines) + "\n"
 
 
@@ -436,64 +502,25 @@ def _struct_attrs(node: StructNode) -> str:
     return (" " + " ".join(parts)) if parts else ""
 
 
-def _write_struct(root: StructNode, lines: list[str]) -> None:
-    """Append the element lines of ``root``'s subtree, in document order.
-
-    Leaf elements are written as they are met; each open element keeps a
-    frame on an explicit stack, so nesting depth is bounded by memory only.
-    """
-    # A frame: the values still to write, their indentation, and the
-    # closing line of the element holding them (None for an alternative
-    # set, whose bundles are the elements).
-    stack: list[tuple[Iterator, str, Optional[str]]] = [(iter((root,)), "", None)]
-    while stack:
-        values, pad, closing = stack[-1]
-        for value in values:
-            if isinstance(value, Feature):
-                if value.target is not None:
-                    lines.append(f"{pad}<feat type={_attr(value.cat)} target={_attr('#' + value.target)}/>")
-                    continue
-                if value.nested is None:
-                    text = value.text if value.text is not None else ""
-                    lines.append(f"{pad}<feat type={_attr(value.cat)}>{_content(text)}</feat>")
-                    continue
-                tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
-            elif isinstance(value, StructNode):
-                tag, attrs, content = "struct", _struct_attrs(value), value.items + value.children
-            elif isinstance(value, SegmentRef):
-                _write_seg(value, pad, lines)
-                continue
-            elif isinstance(value, AltSet):
-                stack.append((iter(value.alternatives), pad, None))
-                break
-            elif isinstance(value, tuple):  # one bundle of an alternative set
-                tag, attrs, content = "alt", "", value
-            elif isinstance(value, Relation):
-                type_part = f" type={_attr(value.rel_type)}" if value.rel_type is not None else ""
-                lines.append(f"{pad}<rel{type_part} target={_attr('#' + value.target)}/>")
-                continue
-            else:
-                tag, attrs, content = "brack", "", value.members
-            if not content:
-                lines.append(f"{pad}<{tag}{attrs}/>")
-                continue
-            lines.append(f"{pad}<{tag}{attrs}>")
-            stack.append((iter(content), pad + "  ", f"{pad}</{tag}>"))
-            break
-        else:
-            stack.pop()
-            if closing is not None:
-                lines.append(closing)
+def _refuse(doc: GmtDocument) -> NoReturn:
+    first = validate_structure(doc).errors[0]
+    raise GmtSerializeError(f"invalid document: {first.code} at {first.path}: {first.message}")
 
 
-def _write_seg(seg: SegmentRef, pad: str, lines: list[str]) -> None:
+def _write_seg(seg: SegmentRef, pad: str, lines: list[str], doc: GmtDocument) -> None:
+    """Append the lines of one segment reference, or refuse ``doc`` if it breaks a rule."""
     addr = seg.addr
     if isinstance(addr, IdTargets):
-        if len(addr.ids) == 1:
-            lines.append(f"{pad}<seg target={_attr('#' + addr.ids[0])}/>")
+        ids = addr.ids
+        if len(ids) == 1:
+            lines.append(f"{pad}<seg target={_attr('#' + ids[0])}/>")
+        elif not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
+            _refuse(doc)
         else:
-            lines.append(f"{pad}<seg targets={_attr(' '.join(addr.ids))}/>")
+            lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
     elif isinstance(addr, PositionalSpan):
+        if not 0 <= addr.start <= addr.end:
+            _refuse(doc)
         lines.append(f"{pad}<seg startsAt={_attr(str(addr.start))} endsAt={_attr(str(addr.end))}/>")
     else:
         lines.append(f"{pad}<startsAt target={_attr('#' + addr.start)}/>")

@@ -37,10 +37,10 @@ from gmtannot import (
     parse_gmt,
     serialize_gmt,
 )
-from gmtannot.merge import POLICIES, seg_key
+from gmtannot.merge import POLICIES, _scan, seg_key
 from gmtannot.model import iter_items, replace
 from conftest import load_fixture
-from randgen import deep_feature_text, deep_segless_text, random_document, random_mergeable_document
+from randgen import deep_chain_text, deep_feature_text, deep_segless_text, random_document, random_mergeable_document
 
 
 def single_node_doc(*features: Feature, target: str = "w1", doc_type: str = "W-level") -> GmtDocument:
@@ -576,3 +576,12 @@ def test_diff_and_merge_scan_each_node_once(monkeypatch):
             merge([left, right], MergePolicy(policy))
             assert set(scans) <= nodes and set(scans.values()) == {1}
             assert {id(child) for doc in (left, right) for child in doc.root.children} <= set(scans)
+
+
+def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments():
+    # Keys folded from children's keys grow with the square of the depth;
+    # diff reads only the keys of nodes with segments.
+    doc, _ = parse_gmt(deep_chain_text(3000))
+    keys = [key for _, key, *_ in _scan(doc.root, {}) if key is not None]
+    assert keys == ["span:0-1"]
+    assert sum(map(len, keys)) < 100

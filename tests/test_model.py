@@ -15,6 +15,7 @@ from gmtannot import (
     Bracket,
     Feature,
     GmtDocument,
+    GmtSerializeError,
     IdTargets,
     LandmarkEndpoints,
     PositionalSpan,
@@ -139,6 +140,8 @@ def test_multi_target_ids_the_writer_cannot_list_are_errors(bad):
     node = StructNode(items=(SegmentRef(IdTargets(("w1", bad))), SegmentRef(IdTargets((bad,)))))
     findings = validate_structure(GmtDocument(node)).findings
     assert [(f.code, f.path) for f in findings] == [("BAD_TARGET", "/struct[1]/seg[1]")]
+    with pytest.raises(GmtSerializeError, match="BAD_TARGET at /struct"):
+        serialize_gmt(GmtDocument(node))
 
 
 def test_valid_document_ids_all_findable():

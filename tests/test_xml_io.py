@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from typing import Optional
 
 import pytest
 
@@ -28,7 +29,7 @@ from gmtannot import (
     validate_structure,
 )
 from gmtannot.model import walk_elements
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from randgen import random_document, random_markup
 
 
@@ -402,6 +403,111 @@ def test_a_single_target_round_trips_whatever_its_spelling(target):
     assert again == doc
 
 
+@pytest.mark.parametrize(
+    "char, in_text, in_attr",
+    [
+        ("&", "&amp;", "&amp;"),
+        ("<", "&lt;", "&lt;"),
+        (">", "&gt;", "&gt;"),
+        ('"', '"', "&quot;"),
+        ("\t", "\t", "&#9;"),
+        ("\n", "\n", "&#10;"),
+        ("\r", "&#13;", "&#13;"),
+    ],
+    ids=["amp", "lt", "gt", "quot", "tab", "lf", "cr"],
+)
+def test_each_escaped_character_in_text_and_attribute(char, in_text, in_attr):
+    doc = GmtDocument(StructNode(type="W-level", items=(Feature(cat=f"a{char}b", text=f"x{char}y"),)))
+    text = serialize_gmt(doc)
+    assert text == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<struct type="W-level">\n'
+        f'  <feat type="a{in_attr}b">x{in_text}y</feat>\n</struct>\n'
+    )
+    again, diagnostics = parse_gmt(text)
+    assert again == doc
+    assert diagnostics.warnings == ()
+
+
+# Every fixture the writer reproduces byte for byte: all GMT fixtures but the
+# landmark description, which is not in canonical layout.
+CANONICAL_FIXTURES = sorted(
+    p.name for p in FIXTURES.glob("*.xml") if p.name not in ("annotation_graph.xml", "landmark_desc.xml")
+)
+
+
+@pytest.mark.parametrize("name", CANONICAL_FIXTURES)
+def test_canonical_fixture_serializes_to_its_own_bytes(name):
+    data = (FIXTURES / name).read_bytes()
+    doc, _ = parse_gmt(data.decode("utf-8"))
+    assert serialize_gmt(doc).encode("utf-8") == data
+    assert len(CANONICAL_FIXTURES) == 8
+
+
+# One element breaking each rule of validate_structure.  The node of
+# DUPLICATE_ID repeats the id of a node placed first in every document.
+PLANTED = {
+    "FEATURE_MULTIPLE_VALUES": Feature(cat="lemma", text="chat", target="w1"),
+    "FEATURE_NO_VALUE": Feature(cat="lemma"),
+    "BAD_CONFIDENCE": Feature(cat="confidence", text="1.5"),
+    "EMPTY_ID": StructNode(type="W-level", id=""),
+    "DUPLICATE_ID": StructNode(type="W-level", id="dup"),
+    "SINGLETON_ALT": AltSet(((Feature(cat="pos", text="NOUN"),),)),
+    "EMPTY_TARGET": Relation(target=""),
+    "EMPTY_TARGETS": SegmentRef(IdTargets(())),
+    "DUPLICATE_TARGET": SegmentRef(IdTargets(("w1", "w1"))),
+    "BAD_TARGET": SegmentRef(IdTargets(("w1", "w 2"))),
+    "NEGATIVE_OFFSET": SegmentRef(PositionalSpan(-1, 3)),
+    "INVERTED_SPAN": SegmentRef(PositionalSpan(5, 3)),
+}
+SIBLINGS = (Feature(cat="pos", text="NOUN"), SegmentRef(IdTargets(("w1", "w2"))), Relation(target="n1"))
+
+
+def _host(bad, place: str) -> Optional[StructNode]:
+    """A node holding ``bad`` after valid siblings, in the given place; None where it cannot stand."""
+    if place == "after-siblings":
+        if isinstance(bad, StructNode):
+            return StructNode(type="phrase", items=SIBLINGS, children=(StructNode(type="W-level", items=SIBLINGS), bad))
+        return StructNode(type="W-level", items=SIBLINGS + (bad,))
+    if place == "bundle":
+        member = bad if isinstance(bad, (Feature, StructNode)) else StructNode(type="W-level", items=(bad,))
+        alts = AltSet(((Feature(cat="pos", text="NOUN"),), (Feature(cat="pos", text="VERB"), member)))
+        return StructNode(type="W-level", items=SIBLINGS + (alts,))
+    if place == "bracket" and not isinstance(bad, StructNode):
+        return StructNode(type="W-level", items=SIBLINGS + (Bracket((Feature(cat="note", text="x"), bad)),))
+    if place == "nested-feature" and isinstance(bad, Feature):
+        nested = Feature(cat="pos", nested=(Feature(cat="g", text="x"), bad))
+        return StructNode(type="W-level", items=SIBLINGS + (nested,))
+    return None
+
+
+PLACES = [
+    (code, place)
+    for code in PLANTED
+    for place in ("after-siblings", "bundle", "bracket", "nested-feature")
+    if _host(PLANTED[code], place) is not None
+]
+
+
+@pytest.mark.parametrize("code, place", PLACES, ids=[f"{c}-{p}" for c, p in PLACES])
+def test_writer_refuses_exactly_what_validate_structure_rejects(code, place):
+    rng = random.Random(f"{code}-{place}")
+    for _ in range(20):
+        root = random_document(rng).root
+        children = (StructNode(type="W-level", id="dup"),) + root.children + (_host(PLANTED[code], place),)
+        doc = GmtDocument(StructNode(type=root.type, children=children))
+        errors = validate_structure(doc).errors
+        # A confidence out of [0, 1] is an error only as a bundle member.
+        assert (code in {e.code for e in errors}) == (code != "BAD_CONFIDENCE" or place == "bundle")
+        if not errors:
+            again, _ = parse_gmt(serialize_gmt(doc))
+            assert again == doc
+            continue
+        with pytest.raises(GmtSerializeError) as exc:
+            serialize_gmt(doc)
+        first = errors[0]
+        assert str(exc.value) == f"invalid document: {first.code} at {first.path}: {first.message}"
+
+
 def test_round_trip_500_random_documents():
     rng = random.Random(42)
     for _ in range(500):
@@ -422,10 +528,15 @@ def test_random_markup_is_read_or_refused_and_valid_documents_round_trip():
             doc, _ = parse_gmt(text)
         except GmtParseError:
             continue
-        if validate_structure(doc).ok:
+        errors = validate_structure(doc).errors
+        if not errors:
             valid += 1
             again, _ = parse_gmt(serialize_gmt(doc))
             assert again == doc, text
+            continue
+        with pytest.raises(GmtSerializeError) as exc:
+            serialize_gmt(doc)
+        assert str(exc.value) == f"invalid document: {errors[0].code} at {errors[0].path}: {errors[0].message}"
     assert valid > 1000
 
 
