@@ -228,6 +228,7 @@ def derived_extent(
     lenient mode it is skipped and recorded in ``warnings``.  Returns
     None when nothing resolves to offsets.
     """
+    warnings = [] if warnings is None else warnings
     spans: list[tuple[int, int]] = []
     # Children are pushed in reverse so nodes are visited in document order.
     stack = [node]
@@ -241,11 +242,10 @@ def derived_extent(
             except (UnresolvedTargetError, InvertedSpanError) as exc:
                 if strict:
                     raise
-                if warnings is not None:
-                    warnings.append(str(exc))
+                warnings.append(str(exc))
                 continue
-            if resolved.is_span:
-                spans.append((resolved.start, resolved.end))
+            # Without layers, resolve_seg returns a span or raises.
+            spans.append((resolved.start, resolved.end))
         stack.extend(reversed(current.children))
     if not spans:
         return None

@@ -114,10 +114,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 print(f"{args.file}: {path}: {exc}", file=sys.stderr)
                 failed = True
                 continue
-            if span.is_span:
-                print(f"{path}\t{span.start}\t{span.end}")
-            else:
-                print(f"{path}\tnodes:{','.join(span.target_nodes)}")
+            # Without layers, resolve_seg returns a span or raises.
+            print(f"{path}\t{span.start}\t{span.end}")
     if failed and not args.lenient:
         return FINDINGS
     return OK

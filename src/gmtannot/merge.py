@@ -213,6 +213,7 @@ def merge(
     """
     if not docs:
         raise MergeError("nothing to merge")
+    warnings = [] if warnings is None else warnings
     doc_type = docs[0].doc_type
     for doc in docs[1:]:
         if doc.doc_type != doc_type:
@@ -222,57 +223,49 @@ def merge(
     if any(top[2] for top in tops):
         # The roots are annotation nodes themselves: align them like any
         # other anchor group rather than treating them as containers.
-        merged = _merge_level(roots, [top[1:3] for top in tops], policy, warnings)
+        merged = _merge_level(roots, [top[1:4] for top in tops], policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
-    items: list[NodeItem] = []
-    seen_item_lists: list[tuple[NodeItem, ...]] = []
+    item_lists: list[tuple[NodeItem, ...]] = []
     for root in roots:
-        if policy.on_parallel == KEEP_ALL or root.items not in seen_item_lists:
-            items.extend(root.items)
-            seen_item_lists.append(root.items)
+        if policy.on_parallel == KEEP_ALL or root.items not in item_lists:
+            item_lists.append(root.items)
     children = [child for root in roots for child in root.children]
     children = _merge_level(children, [summary for top in tops for summary in top[5]], policy, warnings)
+    items = tuple([item for root_items in item_lists for item in root_items])
     first = roots[0]
-    return GmtDocument(
-        StructNode(type=first.type, id=first.id, ref=first.ref, items=tuple(items), children=tuple(children))
-    )
+    return GmtDocument(StructNode(type=first.type, id=first.id, ref=first.ref, items=items, children=tuple(children)))
 
 
 def _merge_level(
-    nodes: list[StructNode], summaries: list[tuple], policy: MergePolicy, warnings: Optional[list[str]]
+    nodes: list[StructNode], summaries: list[tuple], policy: MergePolicy, warnings: list[str]
 ) -> list[StructNode]:
-    """Group nodes by the key of their ``(key, mode, ...)`` summaries and merge each group."""
-    groups: dict[str, list[StructNode]] = {}
-    modes: dict[str, Optional[str]] = {}  # each key's first mode
-    mixed: dict[str, set[str]] = {}
-    order: list[tuple[str, Optional[StructNode]]] = []
-    for node, (key, mode, *_) in zip(nodes, summaries):
+    """Group nodes by the key of their ``(key, mode, id)`` summaries from :func:`_scan` and merge each group."""
+    # Each key's nodes and their addressing modes, in first-occurrence order.  A node without a key
+    # is a group of one, keyed by its position, which _merge_group passes through.  A segless key's
+    # mode is None, and its key starts with "node:", so None never mixes with a real mode.
+    groups: dict[str | int, tuple[list[StructNode], set[Optional[str]]]] = {}
+    for position, (node, (key, mode, _)) in enumerate(zip(nodes, summaries)):
         if key is None:
-            if warnings is not None:
-                warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
-            order.append(("", node))
-            continue
-        if key not in groups:
-            groups[key], modes[key] = [], mode
-            order.append((key, None))
-        elif mode != modes[key]:  # never None: a segless key starts with "node:"
-            mixed.setdefault(key, {modes[key]}).add(mode)
-        groups[key].append(node)
+            warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
+            groups[position] = ([node], {None})
+        elif key in groups:
+            group, group_modes = groups[key]
+            group.append(node)
+            group_modes.add(mode)
+        else:  # the containers are built only here: one pair per key, not per node
+            groups[key] = ([node], {mode})
     out: list[StructNode] = []
-    for key, loose in order:
-        if loose is not None:
-            out.append(loose)
-            continue
-        if key in mixed:
-            raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(mixed[key])}")
-        out.extend(_merge_group(groups[key], key, policy, warnings))
+    for key, (group, group_modes) in groups.items():
+        if len(group_modes) > 1:
+            raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(group_modes)}")
+        out.extend(_merge_group(group, key, policy, warnings))
     return out
 
 
 def _merge_group(
-    group: list[StructNode], key: str, policy: MergePolicy, warnings: Optional[list[str]]
+    group: list[StructNode], key: str, policy: MergePolicy, warnings: list[str]
 ) -> list[StructNode]:
     if len(group) == 1 or policy.on_parallel == KEEP_ALL:
         return group
@@ -286,11 +279,10 @@ def _merge_group(
 
 
 def _fold_group(
-    group: list[StructNode], key: str, policy: MergePolicy, warnings: Optional[list[str]]
+    group: list[StructNode], key: str, policy: MergePolicy, warnings: list[str]
 ) -> list[StructNode]:
     if any(node.children for node in group):
-        if warnings is not None:
-            warnings.append(f"cannot fold nodes with children over anchor {key!r}; keeping all")
+        warnings.append(f"cannot fold nodes with children over anchor {key!r}; keeping all")
         return group
     bundles: list[Bundle] = []
     extras: list[Bracket] = []
@@ -306,9 +298,8 @@ def _fold_group(
             elif not isinstance(item, SegmentRef):
                 rest.append(item)
         if features and alt_bundles:
-            if warnings is not None:
-                warnings.append(f"cannot fold a node mixing loose features with alternatives over anchor {key!r}; "
-                                "keeping all")
+            warnings.append(f"cannot fold a node mixing loose features with alternatives over anchor {key!r}; "
+                            "keeping all")
             return group
         bundles.extend(alt_bundles or [tuple(features)])
         if rest:

@@ -334,17 +334,6 @@ class ValidationReport(Record):
         )
 
 
-class _ReportBuilder:
-    def __init__(self) -> None:
-        self.findings: list[Finding] = []
-
-    def add(self, severity: str, code: str, path: ElementPath, message: str) -> None:
-        self.findings.append(Finding(severity, code, render_path(path), message))
-
-    def done(self) -> ValidationReport:
-        return ValidationReport(tuple(self.findings))
-
-
 def validate_structure(doc: GmtDocument) -> ValidationReport:
     """Check the structural invariants of a document.
 
@@ -352,71 +341,63 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
     position.  The checks are purely structural; data category semantics
     are validated separately against a registry.
     """
-    out = _ReportBuilder()
+    findings: list[Finding] = []
     seen_ids: set[str] = set()
     for path, owner, element in walk_elements(doc):
         if isinstance(element, Feature):
             forms = (element.text is not None) + (element.nested is not None) + (element.target is not None)
             if forms > 1:
-                out.add(
-                    ERROR,
-                    "FEATURE_MULTIPLE_VALUES",
-                    path,
-                    f"feature '{element.cat}' carries more than one value form",
-                )
+                message = f"feature '{element.cat}' carries more than one value form"
+                findings.append(Finding(ERROR, "FEATURE_MULTIPLE_VALUES", render_path(path), message))
             elif forms == 0 or element.nested == ():
                 # An empty nested tuple carries no value either; refusing it
                 # here keeps serialization round-trippable.
-                out.add(ERROR, "FEATURE_NO_VALUE", path, f"feature '{element.cat}' carries no value")
+                message = f"feature '{element.cat}' carries no value"
+                findings.append(Finding(ERROR, "FEATURE_NO_VALUE", render_path(path), message))
             if isinstance(owner, AltSet) and element.cat == CONFIDENCE_CAT:
                 value = _finite_decimal(element.text)
                 if value is None or not 0 <= value <= 1:
-                    out.add(
-                        ERROR,
-                        "BAD_CONFIDENCE",
-                        path,
-                        f"confidence value {element.text!r} is not a decimal in [0, 1]",
-                    )
+                    message = f"confidence value {element.text!r} is not a decimal in [0, 1]"
+                    findings.append(Finding(ERROR, "BAD_CONFIDENCE", render_path(path), message))
         elif isinstance(element, StructNode):
             if element.id == "":
-                out.add(ERROR, "EMPTY_ID", path, "node id must be non-empty")
+                findings.append(Finding(ERROR, "EMPTY_ID", render_path(path), "node id must be non-empty"))
             elif element.id in seen_ids:
-                out.add(ERROR, "DUPLICATE_ID", path, f"duplicate node id '{element.id}'")
+                findings.append(Finding(ERROR, "DUPLICATE_ID", render_path(path), f"duplicate node id '{element.id}'"))
             elif element.id is not None:
                 seen_ids.add(element.id)
         elif isinstance(element, AltSet):
             if len(element.alternatives) < 2:
-                out.add(
-                    ERROR,
-                    "SINGLETON_ALT",
-                    path,
-                    f"alternative set has {len(element.alternatives)} alternative(s), needs at least 2",
-                )
+                message = f"alternative set has {len(element.alternatives)} alternative(s), needs at least 2"
+                findings.append(Finding(ERROR, "SINGLETON_ALT", render_path(path), message))
         elif isinstance(element, Relation):
             if not element.target:
-                out.add(ERROR, "EMPTY_TARGET", path, "relation target must be non-empty")
+                findings.append(Finding(ERROR, "EMPTY_TARGET", render_path(path), "relation target must be non-empty"))
         elif isinstance(element, SegmentRef):
-            _check_seg(element, path, out)
-    return out.done()
+            _check_seg(element, path, findings)
+    return ValidationReport(tuple(findings))
 
 
-def _check_seg(seg: SegmentRef, path: ElementPath, out: _ReportBuilder) -> None:
+def _check_seg(seg: SegmentRef, path: ElementPath, findings: list[Finding]) -> None:
     addr = seg.addr
     if isinstance(addr, IdTargets):
         if not addr.ids:
-            out.add(ERROR, "EMPTY_TARGETS", path, "segment reference names no targets")
+            findings.append(Finding(ERROR, "EMPTY_TARGETS", render_path(path), "segment reference names no targets"))
         seen: set[str] = set()
         for t in addr.ids:
             if t in seen:
-                out.add(ERROR, "DUPLICATE_TARGET", path, f"duplicate target '{t}'")
+                findings.append(Finding(ERROR, "DUPLICATE_TARGET", render_path(path), f"duplicate target '{t}'"))
             if len(addr.ids) > 1 and (t.split() != [t] or t.startswith("#")):
-                out.add(ERROR, "BAD_TARGET", path, f"target {t!r} cannot stand in a whitespace-separated list")
+                message = f"target {t!r} cannot stand in a whitespace-separated list"
+                findings.append(Finding(ERROR, "BAD_TARGET", render_path(path), message))
             seen.add(t)
     elif isinstance(addr, PositionalSpan):
         if addr.start < 0 or addr.end < 0:
-            out.add(ERROR, "NEGATIVE_OFFSET", path, f"offsets must be non-negative, got {addr.start}..{addr.end}")
+            message = f"offsets must be non-negative, got {addr.start}..{addr.end}"
+            findings.append(Finding(ERROR, "NEGATIVE_OFFSET", render_path(path), message))
         elif addr.start > addr.end:
-            out.add(ERROR, "INVERTED_SPAN", path, f"span starts at {addr.start} after its end {addr.end}")
+            message = f"span starts at {addr.start} after its end {addr.end}"
+            findings.append(Finding(ERROR, "INVERTED_SPAN", render_path(path), message))
 
 
 def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
@@ -486,9 +467,10 @@ def bundle_confidence(bundle: Bundle) -> Decimal:
 def select_preferred_alternative(alts: AltSet) -> Bundle:
     """The alternative with the greatest confidence; first one wins ties.
 
-    Confidence values are compared as exact decimals; bundles without a
-    confidence feature count as 0.  Selection is total: some bundle is
-    always returned for a non-empty set.
+    Confidence values are compared as exact decimals, as written: one outside
+    [0, 1] is not clamped, only reported by :func:`validate_structure`.
+    Bundles without a confidence feature count as 0.  Selection is total:
+    some bundle is always returned for a non-empty set.
     """
     if not alts.alternatives:
         raise ValueError("empty alternative set")

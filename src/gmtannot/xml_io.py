@@ -81,11 +81,6 @@ class ParseDiagnostics(NamedTuple):
     warnings: tuple[ParseWarning, ...]
 
 
-def strip_pointer(value: str) -> str:
-    """Normalize a pointer attribute: drop the leading ``#`` if present."""
-    return value[1:] if value.startswith("#") else value
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -201,7 +196,7 @@ class _GmtBuilder:
         parent.members.append(StructNode(
             type=attrs.get("type"),
             id=attrs.get("id", attrs.get("ID")),
-            ref=strip_pointer(ref) if ref is not None else None,
+            ref=ref.removeprefix("#") if ref is not None else None,
             items=items,
             children=children,
         ))
@@ -224,7 +219,7 @@ class _GmtBuilder:
             parent.members.append(Feature(
                 cat=cat,
                 nested=tuple(frame.members) or None,
-                target=strip_pointer(target) if target is not None else None,
+                target=target.removeprefix("#") if target is not None else None,
             ))
         else:
             parent.members.append(self._leaf(cat, text.strip()))
@@ -245,7 +240,7 @@ class _GmtBuilder:
         if target is None:
             self._warn("<rel> without a target; skipped", frame.pos)
         else:
-            parent.members.append(Relation(target=strip_pointer(target), rel_type=frame.attrs.get("type")))
+            parent.members.append(Relation(target=target.removeprefix("#"), rel_type=frame.attrs.get("type")))
 
     def _close_seg(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if parent.tag not in ("struct", "brack"):
@@ -306,7 +301,7 @@ class _GmtBuilder:
             elif starts:
                 start = starts.pop(0)
                 items[start] = SegmentRef(LandmarkEndpoints(
-                    strip_pointer(items[start].attrs["target"]), strip_pointer(member.attrs["target"])
+                    items[start].attrs["target"].removeprefix("#"), member.attrs["target"].removeprefix("#")
                 ))
             else:
                 self._warn("<endsAt> without a matching <startsAt>; dropped", member.pos)
@@ -323,9 +318,9 @@ class _GmtBuilder:
         if id_mode:
             ids: list[str] = []
             if "target" in attrs:
-                ids.append(strip_pointer(attrs["target"]))
+                ids.append(attrs["target"].removeprefix("#"))
             if "targets" in attrs:
-                ids.extend(strip_pointer(t) for t in attrs["targets"].split())
+                ids.extend(t.removeprefix("#") for t in attrs["targets"].split())
             return SegmentRef(IdTargets(tuple(ids)))
         if start_raw is not None or end_raw is not None:
             if start_raw is None or end_raw is None:

@@ -228,3 +228,45 @@ def test_ag_xml_round_trip():
         graph = random_graph(rng)
         parsed = parse_ag(serialize_ag(graph))
         assert canonicalize_ag(parsed) == canonicalize_ag(graph)
+
+
+# ---------------------------------------------------------------------------
+# error paths
+
+
+def phone_layer(*items) -> GmtDocument:
+    return GmtDocument(StructNode(type="phoneticAnnot", children=(StructNode(type="phone", items=items),)))
+
+
+LANDMARKS_01 = GmtDocument(StructNode(type="landmarkDesc", children=tuple(
+    StructNode(type="landmark", id=str(k), items=(Feature(cat="position", text=str(k)),)) for k in range(2)
+)))
+ARC_0_1 = SegmentRef(LandmarkEndpoints("0", "1"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message, code",
+    [
+        (lambda: parse_ag("<graph/>"), AgParseError, "document element must be <annotation>, got <graph>", None),
+        (lambda: parse_ag('<annotation><arc><source offset="0"/><label/><target id="1" offset="5"/></arc></annotation>'),
+         AgParseError, "arc 1: <source> needs both id and offset", None),
+        (lambda: parse_ag('<annotation><arc><source id="0" offset="0"/><label/><target id="1"/></arc></annotation>'),
+         AgParseError, "arc 1: <target> needs both id and offset", None),
+        (lambda: parse_ag("<annotation><note/></annotation>"), AgParseError,
+         "unexpected element <note> in <annotation>", None),
+        (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(Feature(cat="phone", text="a"))]), BridgeError,
+         "node of type 'phone' in 'phoneticAnnot' has no landmark anchor", "MISSING_ANCHOR"),
+        (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(ARC_0_1, Feature(cat="phone", target="n1"))]), BridgeError,
+         "feature 'phone' has no literal value; cannot label an arc", "UNSUPPORTED_FEATURE"),
+    ],
+    ids=["document-element", "endpoint-without-id", "endpoint-without-offset", "foreign-element", "missing-anchor",
+         "unsupported-feature"],
+)
+def test_agraph_error_paths(call, error, message, code):
+    with pytest.raises(error) as exc:
+        call()
+    assert (str(exc.value), getattr(exc.value, "code", None)) == (message, code)
+
+
+def test_serialize_ag_of_a_graph_without_arcs():
+    assert serialize_ag(AnnotationGraph({"0": 0}, ())) == '<?xml version="1.0" encoding="UTF-8"?>\n<annotation/>\n'

@@ -332,3 +332,41 @@ def test_derived_extent_parent_contains_children():
             if parent_span is not None and child_span is not None:
                 assert parent_span[0] <= child_span[0]
                 assert parent_span[1] >= child_span[1]
+
+
+def test_derived_extent_lenient_without_a_warnings_list():
+    node = StructNode(
+        items=(SegmentRef(IdTargets(("missing",))),),
+        children=(StructNode(items=(SegmentRef(PositionalSpan(3, 8)),)),),
+    )
+    assert derived_extent(node, tokens=tokenize_whitespace(SENTENCE), strict=False, warnings=None) == (3, 8)
+
+
+def landmarks(*entries: tuple) -> GmtDocument:
+    children = tuple(
+        StructNode(type="landmark", id=node_id, items=(Feature(cat="position", text=position),))
+        for node_id, position in entries
+    )
+    return GmtDocument(StructNode(type="landmarkDesc", children=children))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TokenIndex((Token("w1", -1, 4),)), TokenIndexError, "token 'w1' has a negative offset"),
+        (lambda: load_token_index("\t0\t4\n"), TokenIndexError, "line 1: empty token id"),
+        (lambda: build_landmark_table(landmarks(("a", "-5"))), AnchorError,
+         "landmark 'a' at /struct[1]/struct[1]: position must be non-negative"),
+        (lambda: build_landmark_table(landmarks(("a", "1"), ("a", "2"))), AnchorError,
+         "duplicate landmark id 'a' at /struct[1]/struct[2]"),
+        (lambda: resolve_seg(SegmentRef(LandmarkEndpoints("a", "b"))), UnresolvedTargetError,
+         "no landmark table supplied"),
+        (lambda: resolve_seg(SegmentRef(IdTargets(()))), UnresolvedTargetError, "segment reference names no targets"),
+    ],
+    ids=["negative-offset", "empty-token-id", "negative-landmark", "duplicate-landmark", "no-landmark-table",
+         "no-targets"],
+)
+def test_anchoring_error_paths(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -519,3 +519,19 @@ def test_phase_dependent_exit_codes(tmp_path, capsys, argv, code, prefix):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("gmtannot: " + prefix)
+
+
+def test_merge_prints_its_warnings_to_stderr(tmp_path, capsys):
+    fusion = str(FIXTURES / "msannot_fusion_du.xml")
+    out = tmp_path / "merged.xml"
+    assert main(["merge", "--policy", "fold-alt", fusion, fusion, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "gmtannot: cannot fold nodes with children over anchor 'ids:w1'; keeping all\n"
+    assert out.exists()
+
+
+def test_convert_between_one_format_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--from", "ag", "--to", "ag", AG_XML, "-o", str(tmp_path / "out.xml")])
+    assert exc.value.code == 2
+    assert "--from and --to must name different formats" in capsys.readouterr().err
+    assert not (tmp_path / "out.xml").exists()

@@ -37,7 +37,7 @@ from gmtannot import (
     parse_gmt,
     serialize_gmt,
 )
-from gmtannot.merge import POLICIES, _scan, seg_key
+from gmtannot.merge import POLICIES, DiffEntry, _scan, seg_key
 from gmtannot.model import iter_items, replace
 from conftest import load_fixture
 from randgen import deep_chain_text, deep_feature_text, deep_segless_text, random_document, random_mergeable_document
@@ -585,3 +585,82 @@ def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments():
     keys = [key for _, key, *_ in _scan(doc.root, {}) if key is not None]
     assert keys == ["span:0-1"]
     assert sum(map(len, keys)) < 100
+
+
+# ---------------------------------------------------------------------------
+# grouping, warnings and argument errors
+
+
+def anchored(*segs, children=(), **features: str) -> StructNode:
+    items = tuple(SegmentRef(addr) for addr in segs)
+    items += tuple(Feature(cat=cat, text=text) for cat, text in features.items())
+    return StructNode(type="W-level", items=items, children=children)
+
+
+def container(*children: StructNode) -> GmtDocument:
+    return GmtDocument(StructNode(type="annot", children=children))
+
+
+W1, LM, SPAN = IdTargets(("w1",)), LandmarkEndpoints("a", "b"), PositionalSpan(0, 4)
+
+
+def test_fold_raises_on_three_modes_after_warning_on_an_earlier_group():
+    # One key, three first-segment addressing modes; the w9 group comes first
+    # and has a node with children, so fold-alt warns before it fails.
+    w9 = IdTargets(("w9",))
+    nested = anchored(w9, children=(anchored(IdTargets(("w8",))),))
+    docs = [
+        container(nested, anchored(W1, LM, SPAN, pos="N")),
+        container(anchored(w9, pos="N"), anchored(LM, SPAN, W1, pos="V")),
+        container(anchored(SPAN, W1, LM, pos="A")),
+    ]
+    warnings: list[str] = []
+    with pytest.raises(MergeError) as exc:
+        merge(docs, MergePolicy(FOLD_TO_ALT), warnings)
+    assert str(exc.value) == (
+        "anchor 'ids:w1&lm:a-b&span:0-4' is addressed through mixed modes: "
+        "['IdTargets', 'LandmarkEndpoints', 'PositionalSpan']"
+    )
+    assert warnings == ["cannot fold nodes with children over anchor 'ids:w9'; keeping all"]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_node_without_anchor_keeps_its_place_between_groups(policy):
+    first, bare, last = anchored(W1, pos="N"), StructNode(type="W-level"), anchored(SPAN, pos="V")
+    again = anchored(W1, pos="N")
+    warnings: list[str] = []
+    merged = merge([container(first, bare, last), container(again)], MergePolicy(policy), warnings)
+    folded = {KEEP_ALL: (first, again), DEDUP_IDENTICAL: (first,)}.get(policy)
+    if folded is None:
+        assert isinstance(merged.root.children[0].items[-1], AltSet)
+        assert merged.root.children[1:] == (bare, last)
+    else:
+        assert merged.root.children == folded + (bare, last)
+    assert warnings == ["node of type 'W-level' has no anchor; kept as-is regardless of policy"]
+
+
+def test_fold_keeps_a_node_mixing_loose_features_with_alternatives():
+    mixed = StructNode(type="W-level", items=(
+        SegmentRef(W1), Feature(cat="lemma", text="x"),
+        AltSet(((Feature(cat="pos", text="N"),), (Feature(cat="pos", text="V"),))),
+    ))
+    plain = anchored(W1, pos="A")
+    warnings: list[str] = []
+    merged = merge([container(plain), container(mixed)], MergePolicy(FOLD_TO_ALT), warnings)
+    assert merged.root.children == (plain, mixed)
+    assert warnings == [
+        "cannot fold a node mixing loose features with alternatives over anchor 'ids:w1'; keeping all"
+    ]
+
+
+def test_diff_counts_nodes_when_one_side_has_more_under_a_key():
+    left = container(anchored(W1, pos="N"))
+    right = container(anchored(W1, pos="N"), anchored(W1, pos="V"))
+    assert diff(left, right).entries == (DiffEntry("ids:w1", BOTH_DIFFER, "pos:+V count:1!=2"),)
+
+
+def test_merge_of_no_documents_and_an_unknown_policy_are_refused():
+    with pytest.raises(MergeError, match="^nothing to merge$"):
+        merge([])
+    with pytest.raises(ValueError, match="^unknown policy 'bogus'; pick one of"):
+        MergePolicy("bogus")

@@ -520,3 +520,21 @@ def test_equality_hash_and_repr_hold_on_a_200_deep_chain():
     assert left == right
     assert hash(left) == hash(right)
     assert repr(left) == repr(right)
+
+
+def test_selection_compares_written_confidences_and_validation_reports_the_range():
+    # docs/formats.md, "Alternative selection": 5 wins although it is out of range.
+    doc, _ = parse_gmt(
+        '<struct type="W-level"><seg target="#w1"/>'
+        '<alt><feat type="pos">NOUN</feat><feat type="confidence">0.9</feat></alt>'
+        '<alt><feat type="pos">VERB</feat><feat type="confidence">5</feat></alt>'
+        "</struct>"
+    )
+    alts = next(item for item in doc.root.items if isinstance(item, AltSet))
+    assert select_preferred_alternative(alts)[0] == Feature(cat="pos", text="VERB")
+    assert [(f.code, f.path) for f in validate_structure(doc).findings] == [("BAD_CONFIDENCE", "/struct[1]/alt[2]/feat[2]")]
+
+
+def test_select_on_an_empty_alternative_set_is_refused():
+    with pytest.raises(ValueError, match="^empty alternative set$"):
+        select_preferred_alternative(AltSet(()))

@@ -226,3 +226,23 @@ def test_reference_kind_expects_target():
     assert validate_categories(good, reg).findings == ()
     bad = GmtDocument(StructNode(items=(Feature(cat="entry", text="lex1"),)))
     assert [f.code for f in validate_categories(bad, reg).findings] == ["VALUE_KIND_MISMATCH"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: load_registry("a kind=open alias=b\nb kind=open\n"), "line 1: alias 'b' clashes with a category name"),
+        (lambda: load_registry("a kind=open oops\n"), "line 1: malformed token 'oops'"),
+        (lambda: load_registry("a kind=open colour=red\n"), "line 1: unknown key 'colour'"),
+        (lambda: load_registry("a parent=b\n"), "line 1: category 'a' has no kind"),
+        (lambda: load_registry("a kind=range:0-1\n"), "line 1: range needs the form lo..hi"),
+        (lambda: load_registry("a kind=range:x..y\n"), "line 1: range bounds 'x..y' are not decimals"),
+        (lambda: is_subcategory(default_registry(), "pos", "nope"), "unknown category 'nope'"),
+    ],
+    ids=["alias-clash", "malformed-token", "unknown-key", "no-kind", "range-without-dots", "range-not-decimal",
+         "unknown-ancestor"],
+)
+def test_registry_error_paths(call, message):
+    with pytest.raises(RegistryError) as exc:
+        call()
+    assert str(exc.value) == message
