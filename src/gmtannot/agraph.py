@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .anchoring import build_landmark_table, resolve_seg
+from .anchoring import _span, build_landmark_table
 from .errors import AgParseError, BridgeError
 from .model import (
     Feature,
@@ -261,26 +261,26 @@ def gmt_to_ag(
             )
         att1, payload_cat = reverse[layer.doc_type]
         for node in layer.root.children:
-            endpoints = None
+            endpoints = unsupported = None  # the first landmark anchor, the first feature without text
+            attrs: list[tuple[str, str]] = [(ARC_TYPE_ATTR, att1)]
             for item in iter_items(node):
-                if isinstance(item, SegmentRef) and isinstance(item.addr, LandmarkEndpoints):
+                cls = type(item)
+                if cls is Feature:
+                    if item.text is None and unsupported is None:
+                        unsupported = item
+                    attrs.append((ARC_PAYLOAD_ATTR if item.cat == payload_cat else item.cat, item.text))
+                elif cls is SegmentRef and endpoints is None and type(item.addr) is LandmarkEndpoints:
                     endpoints = item.addr
-                    break
             if endpoints is None:
                 raise BridgeError(
                     f"node of type {node.type!r} in {layer.doc_type!r} has no landmark anchor",
                     code="MISSING_ANCHOR",
                 )
-            resolve_seg(SegmentRef(endpoints), landmarks=table)
-            attrs: list[tuple[str, str]] = [(ARC_TYPE_ATTR, att1)]
-            for item in iter_items(node):
-                if isinstance(item, Feature):
-                    if item.text is None:
-                        raise BridgeError(
-                            f"feature '{item.cat}' has no literal value; cannot label an arc",
-                            code="UNSUPPORTED_FEATURE",
-                        )
-                    name = ARC_PAYLOAD_ATTR if item.cat == payload_cat else item.cat
-                    attrs.append((name, item.text))
+            _span(endpoints, None, table)
+            if unsupported is not None:
+                raise BridgeError(
+                    f"feature '{unsupported.cat}' has no literal value; cannot label an arc",
+                    code="UNSUPPORTED_FEATURE",
+                )
             arcs.append(AgArc(endpoints.start, endpoints.end, tuple(attrs)))
     return AnnotationGraph(dict(table), tuple(arcs))

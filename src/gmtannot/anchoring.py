@@ -19,9 +19,10 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedTargetError
 from .model import (
+    Addressing,
     Feature,
     GmtDocument,
-    LandmarkEndpoints,
+    IdTargets,
     PositionalSpan,
     Record,
     SegmentRef,
@@ -29,6 +30,8 @@ from .model import (
     _set,
     find_node,
     iter_items,
+    render_path,
+    walk_elements,
 )
 
 #: Source marker for spans located directly in the primary data.
@@ -125,26 +128,28 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
     integer, is an error.
     """
     table: LandmarkTable = {}
-    for path, node in doc.walk():
-        if node.type != LANDMARK_TYPE:
+    for path, _, node in walk_elements(doc):
+        if type(node) is not StructNode or node.type != LANDMARK_TYPE:
             continue
         if node.id is None:
-            raise AnchorError(f"landmark at {path} has no id")
+            raise AnchorError(f"landmark at {render_path(path)} has no id")
         position = None
         for item in iter_items(node):
             if isinstance(item, Feature) and item.cat == POSITION_CAT and item.text is not None:
                 position = item.text.strip()
                 break
         if position is None:
-            raise AnchorError(f"landmark '{node.id}' at {path} has no position feature")
+            raise AnchorError(f"landmark '{node.id}' at {render_path(path)} has no position feature")
         try:
             value = int(position)
         except ValueError:
-            raise AnchorError(f"landmark '{node.id}' at {path}: position {position!r} is not an integer") from None
+            raise AnchorError(
+                f"landmark '{node.id}' at {render_path(path)}: position {position!r} is not an integer"
+            ) from None
         if value < 0:
-            raise AnchorError(f"landmark '{node.id}' at {path}: position must be non-negative")
+            raise AnchorError(f"landmark '{node.id}' at {render_path(path)}: position must be non-negative")
         if node.id in table:
-            raise AnchorError(f"duplicate landmark id '{node.id}' at {path}")
+            raise AnchorError(f"duplicate landmark id '{node.id}' at {render_path(path)}")
         table[node.id] = value
     return table
 
@@ -170,6 +175,45 @@ class ResolvedSpan(Record):
         return self.start is not None
 
 
+def _span(
+    addr: Addressing, tokens: Optional[TokenIndex], landmarks: Optional[LandmarkTable]
+) -> Optional[tuple[int, int]]:
+    """``(start, end)`` of an addressing in the primary data, or None when only a layer could resolve its ids.
+
+    Raises what :func:`resolve_seg` raises for landmarks and for a
+    reference that names no targets.
+    """
+    cls = type(addr)
+    if cls is IdTargets:
+        ids = addr.ids
+        if not ids:
+            raise UnresolvedTargetError("", "segment reference names no targets")
+        if tokens is None:
+            return None
+        by_id = tokens._by_id
+        if len(ids) == 1:
+            token = by_id.get(ids[0])
+            return None if token is None else (token.start, token.end)
+        found = [by_id.get(token_id) for token_id in ids]
+        if None in found:
+            return None
+        _, starts, ends = zip(*found)
+        return min(starts), max(ends)
+    if cls is PositionalSpan:
+        return addr.start, addr.end
+    if landmarks is None:
+        raise UnresolvedTargetError(addr.start, "no landmark table supplied")
+    start = landmarks.get(addr.start)
+    if start is None:
+        raise UnresolvedTargetError(addr.start)
+    end = landmarks.get(addr.end)
+    if end is None:
+        raise UnresolvedTargetError(addr.end)
+    if start > end:
+        raise InvertedSpanError(f"landmarks '{addr.start}'..'{addr.end}' span {start}..{end}, which is inverted")
+    return start, end
+
+
 def resolve_seg(
     seg: SegmentRef,
     tokens: Optional[TokenIndex] = None,
@@ -187,25 +231,9 @@ def resolve_seg(
     because documents are immutable, then O(1) per target id.
     """
     addr = seg.addr
-    if isinstance(addr, PositionalSpan):
-        return ResolvedSpan(PRIMARY, addr.start, addr.end)
-    if isinstance(addr, LandmarkEndpoints):
-        if landmarks is None:
-            raise UnresolvedTargetError(addr.start, "no landmark table supplied")
-        for endpoint in (addr.start, addr.end):
-            if endpoint not in landmarks:
-                raise UnresolvedTargetError(endpoint)
-        start, end = landmarks[addr.start], landmarks[addr.end]
-        if start > end:
-            raise InvertedSpanError(
-                f"landmarks '{addr.start}'..'{addr.end}' span {start}..{end}, which is inverted"
-            )
-        return ResolvedSpan(PRIMARY, start, end)
-    if not addr.ids:
-        raise UnresolvedTargetError("", "segment reference names no targets")
-    if tokens is not None and all(t in tokens for t in addr.ids):
-        spans = [tokens.get(t) for t in addr.ids]
-        return ResolvedSpan(PRIMARY, min(s.start for s in spans), max(s.end for s in spans))
+    span = _span(addr, tokens, landmarks)
+    if span is not None:
+        return ResolvedSpan(PRIMARY, span[0], span[1])
     for key, layer_doc in (layers or {}).items():
         if all(find_node(layer_doc, t) is not None for t in addr.ids):
             return ResolvedSpan(key, target_nodes=tuple(addr.ids))
@@ -235,18 +263,21 @@ def derived_extent(
     while stack:
         current = stack.pop()
         for item in iter_items(current):
-            if not isinstance(item, SegmentRef):
+            if type(item) is not SegmentRef:
                 continue
             try:
-                resolved = resolve_seg(item, tokens=tokens, landmarks=landmarks)
+                span = _span(item.addr, tokens, landmarks)
+                if span is None:
+                    # Ids that no token covers: without layers, resolve_seg raises its error.
+                    resolve_seg(item, tokens=tokens, landmarks=landmarks)
             except (UnresolvedTargetError, InvertedSpanError) as exc:
                 if strict:
                     raise
                 warnings.append(str(exc))
                 continue
-            # Without layers, resolve_seg returns a span or raises.
-            spans.append((resolved.start, resolved.end))
+            spans.append(span)
         stack.extend(reversed(current.children))
     if not spans:
         return None
-    return min(s for s, _ in spans), max(e for _, e in spans)
+    starts, ends = zip(*spans)
+    return min(starts), max(ends)

@@ -84,37 +84,31 @@ class ParseDiagnostics(NamedTuple):
 # ---------------------------------------------------------------------------
 # parsing
 
-
-class _Frame:
-    __slots__ = ("tag", "row", "attrs", "pos", "text_parts", "members", "alt_run_open", "saw_elements")
-
-    def __init__(self, tag: str, row: _Element, attrs: dict[str, str], pos: tuple[int, int]):
-        self.tag = tag
-        self.row = row
-        self.attrs = attrs
-        self.pos = pos
-        self.text_parts: list[str] = []
-        # What the children's closers built, in document order: features,
-        # items, nodes, open <alt> runs (lists of bundles) and <startsAt>/
-        # <endsAt> frames waiting to be paired.  A <seg>'s first member is
-        # its own reference.
-        self.members: list = []
-        self.alt_run_open = False
-        self.saw_elements = False
+# A frame is one open element: a list [tag, row, attrs, pos, members, text,
+# last], where ``members`` holds what the children's closers built, in
+# document order: features, items, nodes, open <alt> runs (lists of bundles)
+# and <startsAt>/<endsAt> marks ``(tag, target, pos)`` waiting to be paired.
+# A <seg>'s first member is its own reference.  ``text`` is the element's
+# text so far and ``last`` the tag of its last closed child (None for none).
+# Once it has a child, only whether its text is blank matters, so blank text
+# between children is dropped.
+_Frame = list
 
 
 class _GmtBuilder:
     def __init__(self) -> None:
         # The bottom frame holds the document element.
-        self.stack: list[_Frame] = [_Frame("", _UNKNOWN, {}, (0, 0))]
+        self.stack: list[_Frame] = [["", _ROOT, {}, (0, 0), [], "", None]]
         self.warnings: list[ParseWarning] = []
         self.skip_depth = 0
         self.leaves: dict[tuple[str, str], Feature] = {}  # equal text features, shared
+        # expat appends each run of text here; the next tag hands it to the open element.
+        self.chunks: list[str] = []
         self.parser = expat.ParserCreate()
         self.parser.buffer_text = True
         self.parser.StartElementHandler = self._start
         self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._text
+        self.parser.CharacterDataHandler = self.chunks.append
         self.parser.ExternalEntityRefHandler = self._external_entity
         self.parser.SkippedEntityHandler = self._skipped_entity
 
@@ -127,52 +121,66 @@ class _GmtBuilder:
         line, column = pos if pos is not None else self._pos()
         self.warnings.append(ParseWarning(line, column, message))
 
-    def _fail(self, message: str) -> None:
+    def _fail(self, message: str) -> NoReturn:
         line, column = self._pos()
         raise GmtParseError(message, line, column)
 
     # -- expat handlers
 
     def _start(self, tag: str, attrs: dict[str, str]) -> None:
-        if self.skip_depth:
+        if self.skip_depth:  # the skipped element's end tag drops its text
             self.skip_depth += 1
             return
+        chunks = self.chunks
         parent = self.stack[-1]
-        row = _ELEMENTS.get(tag, _UNKNOWN)
-        allowed = parent.row.contains
-        if len(self.stack) == 1:
-            if tag != "struct":
-                self._fail(f"document element must be <struct>, got <{tag}>")
-        elif allowed is not None and tag not in allowed and (row is not _UNKNOWN or not allowed):
-            self._warn(f"<{parent.tag}> cannot contain <{tag}>; element skipped")
-            self.skip_depth = 1
+        if chunks:
+            text = "".join(chunks)
+            chunks.clear()
+            if parent[6] is None or text.strip():
+                parent[5] += text
+        row = parent[1].contains.get(tag) or self._other(tag, parent)
+        if row is None:
             return
-        parent.saw_elements = True
-        if tag != "alt":
-            parent.alt_run_open = False
-        frame = _Frame(tag, row, attrs, self._pos())
-        if row.attrs is not None:
+        parser = self.parser
+        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        frame = [tag, row, attrs, pos, [], "", None]
+        if row.attrs is not None and not row.attrs.issuperset(attrs):
             for name in attrs:
                 if name not in row.attrs:
-                    self._warn(f"unknown attribute '{name}' on <{tag}>; ignored", frame.pos)
+                    self._warn(f"unknown attribute '{name}' on <{tag}>; ignored", pos)
         if tag == "seg":
-            frame.members.append(self._read_seg(attrs, frame))
+            frame[4].append(self._read_seg(attrs, pos))
         self.stack.append(frame)
 
-    def _text(self, data: str) -> None:
-        if not self.skip_depth:
-            self.stack[-1].text_parts.append(data)
+    def _other(self, tag: str, parent: _Frame) -> Optional[_Element]:
+        """The row of a tag that its parent's row does not map, or None when the element is skipped."""
+        if parent[1] is _ROOT:
+            self._fail(f"document element must be <struct>, got <{tag}>")
+        # An element that may contain some known tags may also contain unknown ones.
+        if tag not in _ELEMENTS and parent[1].contains:
+            return _UNKNOWN
+        self._warn(f"<{parent[0]}> cannot contain <{tag}>; element skipped")
+        self.skip_depth = 1
+        return None
 
     def _end(self, tag: str) -> None:
+        chunks = self.chunks
         if self.skip_depth:
+            chunks.clear()
             self.skip_depth -= 1
             return
-        frame = self.stack.pop()
-        text = "".join(frame.text_parts)
-        if text.strip() and frame.saw_elements:
-            self._warn(f"<{tag}> mixes text with child elements; text ignored", frame.pos)
+        stack = self.stack
+        frame = stack.pop()
+        text = frame[5]
+        if chunks:
+            text += "".join(chunks)
+            chunks.clear()
+        if frame[6] is not None and text.strip():
+            self._warn(f"<{tag}> mixes text with child elements; text ignored", frame[3])
             text = ""
-        frame.row.close(self, frame, self.stack[-1], text)
+        parent = stack[-1]
+        frame[1].close(self, frame, parent, text)
+        parent[6] = tag
 
     def _external_entity(self, name: str, base: Optional[str], system_id: str, public_id: Optional[str]) -> int:
         self._warn(f"external entity '{name}' (system id '{system_id}') not fetched; read as empty")
@@ -187,18 +195,18 @@ class _GmtBuilder:
 
     def _close_struct(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<struct> contains stray text; ignored", frame.pos)
-        attrs = frame.attrs
+            self._warn("<struct> contains stray text; ignored", frame[3])
+        attrs = frame[2]
         if "id" in attrs and "ID" in attrs:
-            self._warn("both 'id' and 'ID' given; 'id' wins", frame.pos)
+            self._warn("both 'id' and 'ID' given; 'id' wins", frame[3])
         ref = attrs.get("ref")
-        items, children = self._finish(frame)
-        parent.members.append(StructNode(
-            type=attrs.get("type"),
-            id=attrs.get("id", attrs.get("ID")),
-            ref=ref.removeprefix("#") if ref is not None else None,
-            items=items,
-            children=children,
+        items, children = self._finish(frame[4])
+        parent[4].append(StructNode(
+            attrs.get("type"),
+            attrs.get("id", attrs.get("ID")),
+            ref.removeprefix("#") if ref is not None else None,
+            items,
+            children,
         ))
 
     def _leaf(self, cat: str, text: str) -> Feature:
@@ -208,111 +216,112 @@ class _GmtBuilder:
         return feat
 
     def _close_feat(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        cat = frame.attrs.get("type")
+        cat = frame[2].get("type")
         if cat is None:
-            self._warn("<feat> without a type attribute", frame.pos)
+            self._warn("<feat> without a type attribute", frame[3])
             cat = ""
-        target = frame.attrs.get("target")
+        target = frame[2].get("target")
         if target is not None and text.strip():
-            self._warn("<feat> carries both a target and text; text ignored", frame.pos)
-        if frame.members or target is not None:
-            parent.members.append(Feature(
+            self._warn("<feat> carries both a target and text; text ignored", frame[3])
+        if frame[4] or target is not None:
+            parent[4].append(Feature(
                 cat=cat,
-                nested=tuple(frame.members) or None,
+                nested=tuple(frame[4]) or None,
                 target=target.removeprefix("#") if target is not None else None,
             ))
         else:
-            parent.members.append(self._leaf(cat, text.strip()))
+            parent[4].append(self._leaf(cat, text.strip()))
 
     def _close_alt(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<alt> contains stray text; ignored", frame.pos)
-        if parent.row is _UNKNOWN:
-            self._warn("<alt> outside a node; ignored", frame.pos)
-        elif parent.alt_run_open:
-            parent.members[-1].append(tuple(frame.members))
+            self._warn("<alt> contains stray text; ignored", frame[3])
+        if parent[1] is _UNKNOWN:
+            self._warn("<alt> outside a node; ignored", frame[3])
+        elif parent[6] == "alt":  # the run that the previous sibling opened
+            parent[4][-1].append(tuple(frame[4]))
         else:
-            parent.members.append([tuple(frame.members)])
-            parent.alt_run_open = True
+            parent[4].append([tuple(frame[4])])
 
     def _close_rel(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        target = frame.attrs.get("target")
+        target = frame[2].get("target")
         if target is None:
-            self._warn("<rel> without a target; skipped", frame.pos)
+            self._warn("<rel> without a target; skipped", frame[3])
         else:
-            parent.members.append(Relation(target=target.removeprefix("#"), rel_type=frame.attrs.get("type")))
+            parent[4].append(Relation(target=target.removeprefix("#"), rel_type=frame[2].get("type")))
 
     def _close_seg(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if parent.tag not in ("struct", "brack"):
-            self._warn("<seg> in an unexpected position; ignored", frame.pos)
+        if parent[0] not in ("struct", "brack"):
+            self._warn("<seg> in an unexpected position; ignored", frame[3])
             return
-        seg, *content = frame.members
-        parent.members.append(seg)
+        seg, *content = frame[4]
+        parent[4].append(seg)
         if content:
             # Stand-off leniency: content nested inside <seg> belongs to the
             # nearest enclosing node, right after the reference itself.
-            self._warn(f"<seg> with element content; content {self._lift(content)}", frame.pos)
+            self._warn(f"<seg> with element content; content {self._lift(content)}", frame[3])
 
     def _lift(self, members: list) -> str:
         """Attach members to the nearest enclosing node, or drop them inside an unknown element; say which."""
-        owner = next(f for f in reversed(self.stack) if f.tag == "struct" or f.row is _UNKNOWN)
-        owner.members.extend(members)
-        return "attached to the enclosing node" if owner.tag == "struct" else f"dropped with unknown <{owner.tag}>"
+        owner = next(f for f in reversed(self.stack) if f[0] == "struct" or f[1] is _UNKNOWN)
+        owner[4].extend(members)
+        return "attached to the enclosing node" if owner[0] == "struct" else f"dropped with unknown <{owner[0]}>"
 
     def _close_brack(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
-            self._warn("<brack> contains stray text; ignored", frame.pos)
-        items, children = self._finish(frame)
+            self._warn("<brack> contains stray text; ignored", frame[3])
+        items, children = self._finish(frame[4])
         if children:
-            self._warn(f"<brack> cannot group nodes; nodes {self._lift(children)}", frame.pos)
-        parent.members.append(Bracket(members=items))
+            self._warn(f"<brack> cannot group nodes; nodes {self._lift(children)}", frame[3])
+        parent[4].append(Bracket(members=items))
 
     def _close_endpoint(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if "target" not in frame.attrs:
+        target = frame[2].get("target")
+        if target is None:
             self._close_unknown(frame, parent, text)
-        elif parent.tag not in ("struct", "brack"):
-            self._warn(f"<{frame.tag}> in an unexpected position; ignored", frame.pos)
+        elif parent[0] not in ("struct", "brack"):
+            self._warn(f"<{frame[0]}> in an unexpected position; ignored", frame[3])
         else:
-            parent.members.append(frame)  # paired by the enclosing node's _finish
+            parent[4].append((frame[0], target.removeprefix("#"), frame[3]))  # paired by the enclosing _finish
 
     def _close_unknown(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if frame.saw_elements:
-            self._warn(f"unknown element <{frame.tag}>; skipped", frame.pos)
+        if frame[6] is not None:
+            self._warn(f"unknown element <{frame[0]}>; skipped", frame[3])
         else:
             # Leaf elements outside the core tag set are read as features named
             # by the element, which keeps landmark descriptions parseable.
-            parent.members.append(self._leaf(frame.tag, text.strip()))
+            parent[4].append(self._leaf(frame[0], text.strip()))
 
-    def _finish(self, frame: _Frame) -> tuple[tuple[NodeItem, ...], tuple[StructNode, ...]]:
+    def _finish(self, members: list) -> tuple[tuple[NodeItem, ...], tuple[StructNode, ...]]:
         """Split members into items and child nodes, pair landmark endpoints and fold <alt> runs."""
         items: list = []
         children: list[StructNode] = []
-        starts: list[int] = []  # where the unpaired <startsAt> frames sit in items
-        for member in frame.members:
-            if isinstance(member, StructNode):
+        starts: list[int] = []  # where the unpaired <startsAt> marks sit in items
+        for member in members:
+            cls = type(member)
+            if cls is StructNode:
                 children.append(member)
-            elif isinstance(member, list):
+            elif cls is list:
                 items.append(AltSet(tuple(member)))
-            elif not isinstance(member, _Frame):
+            elif cls is not tuple:
                 items.append(member)
-            elif member.tag == "startsAt":
+            elif member[0] == "startsAt":
                 starts.append(len(items))
                 items.append(member)
             elif starts:
                 start = starts.pop(0)
-                items[start] = SegmentRef(LandmarkEndpoints(
-                    items[start].attrs["target"].removeprefix("#"), member.attrs["target"].removeprefix("#")
-                ))
+                items[start] = SegmentRef(LandmarkEndpoints(items[start][1], member[1]))
             else:
-                self._warn("<endsAt> without a matching <startsAt>; dropped", member.pos)
+                self._warn("<endsAt> without a matching <startsAt>; dropped", member[2])
         for start in reversed(starts):
-            self._warn("<startsAt> without a matching <endsAt>; dropped", items.pop(start).pos)
+            self._warn("<startsAt> without a matching <endsAt>; dropped", items.pop(start)[2])
         return tuple(items), tuple(children)
 
-    def _read_seg(self, attrs: dict[str, str], frame: _Frame) -> SegmentRef:
+    def _read_seg(self, attrs: dict[str, str], pos: tuple[int, int]) -> SegmentRef:
+        if len(attrs) == 1 and "target" in attrs:
+            return SegmentRef(IdTargets((attrs["target"].removeprefix("#"),)))
         id_mode = "target" in attrs or "targets" in attrs
-        start_raw = self._positional_attr(attrs, "startsAt", "startPosition", frame)
-        end_raw = self._positional_attr(attrs, "endsAt", "endPosition", frame)
+        start_raw = self._positional_attr(attrs, "startsAt", "startPosition", pos)
+        end_raw = self._positional_attr(attrs, "endsAt", "endPosition", pos)
         if id_mode and (start_raw is not None or end_raw is not None):
             self._fail("<seg> mixes id and positional addressing; the modes are exclusive")
         if id_mode:
@@ -326,12 +335,12 @@ class _GmtBuilder:
             if start_raw is None or end_raw is None:
                 self._fail("<seg> positional addressing needs both a start and an end")
             return SegmentRef(PositionalSpan(self._offset(start_raw), self._offset(end_raw)))
-        self._warn("<seg> without any addressing", frame.pos)
+        self._warn("<seg> without any addressing", pos)
         return SegmentRef(IdTargets(()))
 
-    def _positional_attr(self, attrs: dict[str, str], name: str, synonym: str, frame: _Frame) -> Optional[str]:
+    def _positional_attr(self, attrs: dict[str, str], name: str, synonym: str, pos: tuple[int, int]) -> Optional[str]:
         if name in attrs and synonym in attrs:
-            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", frame.pos)
+            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", pos)
             return attrs[name]
         return attrs.get(name, attrs.get(synonym))
 
@@ -355,32 +364,39 @@ class _GmtBuilder:
             ) from exc
         finally:
             self.parser = None  # its handlers are bound methods: drop the cycle through self
-        return GmtDocument(self.stack[0].members[0]), ParseDiagnostics(tuple(self.warnings))
+        return GmtDocument(self.stack[0][4][0]), ParseDiagnostics(tuple(self.warnings))
 
 
 class _Element(NamedTuple):
     """One row of the element grammar, as the reader applies it."""
 
-    attrs: Optional[tuple[str, ...]]  # the attributes it reads; others warn (None: no check)
-    # The known tags it may contain, or None for any.  An element that may
-    # contain some known tags may also contain unknown ones; () is empty.
-    contains: Optional[tuple[str, ...]]
+    attrs: Optional[frozenset[str]]  # the attributes it reads; others warn (None: no check)
+    # The known tags it may contain, each with its row.  A row that maps some
+    # tags also admits unknown ones; an empty map admits none.
+    contains: dict[str, _Element]
     close: Callable[[_GmtBuilder, _Frame, _Frame, str], None]
 
 
+def _row(attrs: tuple[str, ...], close: Callable) -> _Element:
+    return _Element(frozenset(attrs), {}, close)
+
+
 _ELEMENTS = {
-    "struct": _Element(("type", "id", "ID", "ref"), None, _GmtBuilder._close_struct),
-    "feat": _Element(("type", "target"), ("feat",), _GmtBuilder._close_feat),
-    "alt": _Element((), ("feat", "struct"), _GmtBuilder._close_alt),
-    "rel": _Element(("type", "target"), (), _GmtBuilder._close_rel),
-    "seg": _Element(
-        ("target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"), None, _GmtBuilder._close_seg
-    ),
-    "brack": _Element((), None, _GmtBuilder._close_brack),
-    "startsAt": _Element(("target",), (), _GmtBuilder._close_endpoint),
-    "endsAt": _Element(("target",), (), _GmtBuilder._close_endpoint),
+    "struct": _row(("type", "id", "ID", "ref"), _GmtBuilder._close_struct),
+    "feat": _row(("type", "target"), _GmtBuilder._close_feat),
+    "alt": _row((), _GmtBuilder._close_alt),
+    "rel": _row(("type", "target"), _GmtBuilder._close_rel),
+    "seg": _row(("target", "targets", "startsAt", "endsAt", "startPosition", "endPosition"), _GmtBuilder._close_seg),
+    "brack": _row((), _GmtBuilder._close_brack),
+    "startsAt": _row(("target",), _GmtBuilder._close_endpoint),
+    "endsAt": _row(("target",), _GmtBuilder._close_endpoint),
 }
-_UNKNOWN = _Element(None, None, _GmtBuilder._close_unknown)
+_UNKNOWN = _Element(None, {}, _GmtBuilder._close_unknown)
+_ROOT = _Element(None, {"struct": _ELEMENTS["struct"]}, _GmtBuilder._close_unknown)  # never closed
+# The known tags each element may contain; struct, seg, brack and unknown elements may contain any.
+_CONTAINS = {"feat": ("feat",), "alt": ("feat", "struct"), "rel": (), "startsAt": (), "endsAt": ()}
+for _tag, _element in [*_ELEMENTS.items(), ("", _UNKNOWN)]:
+    _element.contains.update((t, _ELEMENTS[t]) for t in _CONTAINS.get(_tag, _ELEMENTS))
 
 
 def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:

@@ -10,9 +10,11 @@ from gmtannot import (
     AgArc,
     AgParseError,
     AnnotationGraph,
+    Bracket,
     BridgeError,
     Feature,
     GmtDocument,
+    InvertedSpanError,
     LandmarkEndpoints,
     SegmentRef,
     StructNode,
@@ -258,14 +260,48 @@ ARC_0_1 = SegmentRef(LandmarkEndpoints("0", "1"))
          "node of type 'phone' in 'phoneticAnnot' has no landmark anchor", "MISSING_ANCHOR"),
         (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(ARC_0_1, Feature(cat="phone", target="n1"))]), BridgeError,
          "feature 'phone' has no literal value; cannot label an arc", "UNSUPPORTED_FEATURE"),
+        (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(Feature(cat="note", target="n1"), ARC_0_1,
+                                                      Feature(cat="phone", target="n2"))]), BridgeError,
+         "feature 'note' has no literal value; cannot label an arc", "UNSUPPORTED_FEATURE"),
+        (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(Feature(cat="phone", target="n1"))]), BridgeError,
+         "node of type 'phone' in 'phoneticAnnot' has no landmark anchor", "MISSING_ANCHOR"),
     ],
     ids=["document-element", "endpoint-without-id", "endpoint-without-offset", "foreign-element", "missing-anchor",
-         "unsupported-feature"],
+         "unsupported-feature", "first-unsupported-feature", "missing-anchor-before-unsupported-feature"],
 )
 def test_agraph_error_paths(call, error, message, code):
     with pytest.raises(error) as exc:
         call()
     assert (str(exc.value), getattr(exc.value, "code", None)) == (message, code)
+
+
+LANDMARKS_0_10_20 = GmtDocument(StructNode(type="landmarkDesc", children=tuple(
+    StructNode(type="landmark", id=str(k), items=(Feature(cat="position", text=str(10 * k)),)) for k in range(3)
+)))
+
+
+@pytest.mark.parametrize(
+    "items, arc",
+    [
+        ((Bracket((Feature(cat="phone", text="a"), SegmentRef(LandmarkEndpoints("0", "2")))),),
+         AgArc("0", "2", (("att_1", "P"), ("att_2", "a")))),
+        ((SegmentRef(LandmarkEndpoints("1", "2")), SegmentRef(LandmarkEndpoints("0", "1")),
+          Feature(cat="phone", text="a")),
+         AgArc("1", "2", (("att_1", "P"), ("att_2", "a")))),
+        ((Feature(cat="note", text="n"), SegmentRef(LandmarkEndpoints("0", "1")), Feature(cat="phone", text="a")),
+         AgArc("0", "1", (("att_1", "P"), ("note", "n"), ("att_2", "a")))),
+    ],
+    ids=["anchor-in-a-bracket", "first-anchor-wins", "feature-before-the-anchor"],
+)
+def test_gmt_to_ag_reads_each_node_in_item_order(items, arc):
+    assert gmt_to_ag(LANDMARKS_0_10_20, [phone_layer(*items)]).arcs == (arc,)
+
+
+def test_gmt_to_ag_refuses_an_inverted_anchor():
+    layer = phone_layer(SegmentRef(LandmarkEndpoints("2", "0")), Feature(cat="phone", text="a"))
+    with pytest.raises(InvertedSpanError) as exc:
+        gmt_to_ag(LANDMARKS_0_10_20, [layer])
+    assert str(exc.value) == "landmarks '2'..'0' span 20..0, which is inverted"
 
 
 def test_serialize_ag_of_a_graph_without_arcs():

@@ -133,6 +133,32 @@ def test_landmark_errors_name_the_node():
         build_landmark_table(bad_position)
 
 
+NESTED_LANDMARK = """<struct type="landmarkDesc">
+  <struct type="group">
+    <alt><struct type="landmark" id="a"><feat type="position">1</feat></struct></alt>
+    <alt><struct type="landmark"{attrs}><feat type="position">{position}</feat></struct></alt>
+  </struct>
+</struct>"""
+
+
+@pytest.mark.parametrize(
+    "attrs, position, message",
+    [
+        ("", "5", "landmark at /struct[1]/struct[1]/alt[2]/struct[1] has no id"),
+        (' id="a"', "5", "duplicate landmark id 'a' at /struct[1]/struct[1]/alt[2]/struct[1]"),
+        (' id="b"', "x", "landmark 'b' at /struct[1]/struct[1]/alt[2]/struct[1]: position 'x' is not an integer"),
+    ],
+    ids=["no-id", "duplicate", "bad-position"],
+)
+def test_landmark_errors_inside_an_alternative_name_the_walk_path(attrs, position, message):
+    doc, _ = parse_gmt(NESTED_LANDMARK.format(attrs=attrs, position=position))
+    nested = doc.root.children[0].items[0].alternatives[1][0]
+    assert [path for path, node in doc.walk() if node is nested] == ["/struct[1]/struct[1]/alt[2]/struct[1]"]
+    with pytest.raises(AnchorError) as exc:
+        build_landmark_table(doc)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # resolve_seg
 
@@ -279,22 +305,23 @@ def test_derived_extent_on_a_deep_chain():
     assert derived_extent(doc.root) == (0, 1)
 
 
+def _all_segs(current):
+    """Every descendant segment in document order, bracket members in place."""
+    stack = list(current.items)
+    while stack:
+        item = stack.pop(0)
+        if isinstance(item, SegmentRef):
+            yield item
+        elif isinstance(item, Bracket):
+            stack = list(item.members) + stack
+    for child in current.children:
+        yield from _all_segs(child)
+
+
 def _oracle_extent(node, index: TokenIndex, table) -> tuple | None:
     """Brute force: enumerate every descendant segment and look it up directly."""
     spans = []
-
-    def all_segs(current):
-        stack = list(current.items)
-        while stack:
-            item = stack.pop(0)
-            if isinstance(item, SegmentRef):
-                yield item
-            elif isinstance(item, Bracket):
-                stack = list(item.members) + stack
-        for child in current.children:
-            yield from all_segs(child)
-
-    for seg in all_segs(node):
+    for seg in _all_segs(node):
         addr = seg.addr
         if isinstance(addr, PositionalSpan):
             spans.append((addr.start, addr.end))
@@ -317,6 +344,41 @@ def test_derived_extent_matches_brute_force_on_random_trees():
         builder = DocBuilder(rng)
         node = random_anchored_tree(rng, builder, sorted(table))
         assert derived_extent(node, tokens=index, landmarks=table) == _oracle_extent(node, index, table)
+
+
+def test_derived_extent_agrees_with_resolve_seg_when_segments_fail():
+    """Strict mode raises the first failing segment's error; lenient mode warns once per failure, in order."""
+    rng = random.Random(31)
+    seen = {"strict-raises": 0, "resolves": 0, "UnresolvedTargetError": 0, "InvertedSpanError": 0}
+    for _ in range(300):
+        full = random_token_index(rng)
+        index = TokenIndex(tuple(t for t in full.entries if rng.random() < 0.8))
+        landmark_ids = sorted(random_landmark_table(rng))
+        node = random_anchored_tree(rng, DocBuilder(rng), landmark_ids)
+        # Missing landmarks, and positions in random order, so that some pairs invert.
+        table = {lm: rng.randrange(5000) for lm in landmark_ids if rng.random() < 0.85}
+        spans, failures = [], []
+        for seg in _all_segs(node):
+            try:
+                resolved = resolve_seg(seg, tokens=index, landmarks=table)
+            except (UnresolvedTargetError, InvertedSpanError) as exc:
+                failures.append(exc)
+                seen[type(exc).__name__] += 1
+            else:
+                spans.append((resolved.start, resolved.end))
+        expected = (min(s for s, _ in spans), max(e for _, e in spans)) if spans else None
+        if failures:
+            seen["strict-raises"] += 1
+            with pytest.raises(type(failures[0])) as exc:
+                derived_extent(node, tokens=index, landmarks=table)
+            assert str(exc.value) == str(failures[0])
+        else:
+            seen["resolves"] += 1
+            assert derived_extent(node, tokens=index, landmarks=table) == expected
+        warnings: list[str] = []
+        assert derived_extent(node, tokens=index, landmarks=table, strict=False, warnings=warnings) == expected
+        assert warnings == [str(e) for e in failures]
+    assert min(seen.values()) >= 20, seen
 
 
 def test_derived_extent_parent_contains_children():

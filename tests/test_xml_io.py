@@ -82,6 +82,16 @@ def test_parse_alternatives_merge_into_one_set():
     assert len(alts[0].alternatives) == 2
 
 
+@pytest.mark.parametrize("between", ['<rel type="dep"/>', "<meta><x/></meta>"])
+def test_an_element_between_alternatives_ends_the_run_even_when_it_builds_nothing(between):
+    doc, _ = parse_gmt(
+        f'<struct><alt><feat type="a">1</feat></alt><alt><feat type="a">2</feat></alt>{between}'
+        '<alt><feat type="a">3</feat></alt><alt><feat type="a">4</feat></alt></struct>'
+    )
+    alts = [item for item in doc.root.items if isinstance(item, AltSet)]
+    assert [[bundle[0].text for bundle in alt.alternatives] for alt in alts] == [["1", "2"], ["3", "4"]]
+
+
 # ---------------------------------------------------------------------------
 # surface variants and leniency
 
@@ -197,6 +207,40 @@ def test_feature_text_is_end_trimmed_only():
     assert doc.root.items == (Feature(cat="lemma", text="pomme_de_terre"),)
     doc, _ = parse_gmt("<struct><feat type='lemma'>New  York </feat></struct>")
     assert doc.root.items[0].text == "New  York"
+
+
+LONG_TEXT = "".join(str(k % 10) for k in range(12000))  # longer than expat's 8 KiB text buffer
+
+TEXT_ROWS = [
+    ("comment", '<struct><feat type="x">a<!-- c -->b</feat></struct>', (Feature(cat="x", text="ab"),), []),
+    ("processing-instruction", '<struct><feat type="x">a<?pi data?>b</feat></struct>',
+     (Feature(cat="x", text="ab"),), []),
+    ("cdata", '<struct><feat type="x"><![CDATA[a<b]]></feat></struct>', (Feature(cat="x", text="a<b"),), []),
+    ("around-a-skipped-child", '<struct><feat type="x">a<seg target="#a"/>b</feat></struct>',
+     (Feature(cat="x", text="ab"),), [(1, 25, "<feat> cannot contain <seg>; element skipped")]),
+    ("inside-a-skipped-child", '<struct><feat type="x">a<seg target="#a">z<q>z</q>z</seg>b</feat></struct>',
+     (Feature(cat="x", text="ab"),), [(1, 25, "<feat> cannot contain <seg>; element skipped")]),
+    ("between-children", '<struct><feat type="x">1</feat> x <feat type="y">2</feat></struct>',
+     (Feature(cat="x", text="1"), Feature(cat="y", text="2")),
+     [(1, 1, "<struct> mixes text with child elements; text ignored")]),
+    ("blank-between-children", '<struct>\n  <feat type="x">1</feat>\n\t<feat type="y">2</feat>\n</struct>',
+     (Feature(cat="x", text="1"), Feature(cat="y", text="2")), []),
+    ("after-the-last-child", '<struct><feat type="x">1</feat>\n tail </struct>',
+     (Feature(cat="x", text="1"),), [(1, 1, "<struct> mixes text with child elements; text ignored")]),
+    ("longer-than-the-text-buffer", f'<struct><feat type="x">{LONG_TEXT}</feat></struct>',
+     (Feature(cat="x", text=LONG_TEXT),), []),
+    ("skipped-entity", '<!DOCTYPE struct SYSTEM "gmt.dtd">\n<struct><feat type="x">a&e;b</feat></struct>',
+     (Feature(cat="x", text="ab"),), [(2, 25, "entity 'e' not expanded (no declaration read); read as empty")]),
+    ("unknown-leaf-split-by-a-comment", "<struct><pos>NO<!-- c -->UN</pos></struct>",
+     (Feature(cat="pos", text="NOUN"),), []),
+]
+
+
+@pytest.mark.parametrize("text, items, warnings", [row[1:] for row in TEXT_ROWS], ids=[row[0] for row in TEXT_ROWS])
+def test_reader_text_handling(text, items, warnings):
+    doc, diagnostics = parse_gmt(text)
+    assert doc.root.items == items
+    assert list(diagnostics.warnings) == warnings
 
 
 def test_entities_round_trip():
