@@ -83,9 +83,10 @@ def _escape(text: str) -> str:
 def seg_key(seg: SegmentRef) -> str:
     """Canonical string form of one segment's addressing."""
     addr = seg.addr
-    if isinstance(addr, IdTargets):
-        return "ids:" + ",".join(sorted(map(_escape, addr.ids)))
-    if isinstance(addr, PositionalSpan):
+    if type(addr) is IdTargets:
+        ids = addr.ids
+        return "ids:" + (_escape(ids[0]) if len(ids) == 1 else ",".join(sorted(map(_escape, ids))))
+    if type(addr) is PositionalSpan:
         return f"span:{addr.start}-{addr.end}"
     return f"lm:{_escape(addr.start)}-{_escape(addr.end)}"
 
@@ -117,21 +118,21 @@ def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterato
     (nothing reads it), and ``fingerprint`` is the table's id of ``(type, sorted item ids, sorted
     child ids)``, a child with segments having id -1.  Items, bundles and features get ids from
     tuples tagged by their kind, so equal ids mean equal content up to the order of items,
-    bundles, children and nested features.
+    bundles, children and nested features.  A node's own items are keyed and interned inline;
+    only bundle members and nested features go through the ``deep`` and ``member_id`` helpers.
     """
-
-    def intern(canonical: tuple) -> int:
-        return table.setdefault(canonical, len(table))  # type: ignore[union-attr]
+    if table is not None:
+        intern = table.setdefault  # intern(t, len(table)) is t's id
 
     def deep(member: Feature | StructNode) -> bool:  # visited on its own, before its owner
-        return isinstance(member, StructNode) or member.target is None and member.nested is not None
+        return type(member) is StructNode or member.target is None and member.nested is not None
 
     def member_id(member: Feature | StructNode) -> int:
-        if isinstance(member, Feature):
+        if type(member) is Feature:
             if member.target is not None:
-                return intern(("feat", member.cat, "@", member.target))
+                return intern(("feat", member.cat, "@", member.target), len(table))
             if member.nested is None:
-                return intern(("feat", member.cat, "", member.text or ""))
+                return intern(("feat", member.cat, "", member.text or ""), len(table))
         return next(below)[2]
 
     done: list[tuple] = []  # (key, mode, id in its owner) of each finished element, until its owner closes
@@ -139,37 +140,41 @@ def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterato
     while stack:
         element = stack.pop()
         if type(element) is not tuple:
-            if isinstance(element, Feature):
+            if type(element) is Feature:
                 items, segs, parts = element.nested, [], [m for m in element.nested if deep(m)]
             else:
                 items, segs, parts = iter_items(element), [], []
                 for item in items:
-                    if isinstance(item, SegmentRef):
+                    cls = type(item)
+                    if cls is SegmentRef:
                         segs.append(item)
                     elif table is None:
                         continue
-                    elif isinstance(item, AltSet):
+                    elif cls is Feature:
+                        if item.target is None and item.nested is not None:  # deep(item), inline
+                            parts.append(item)
+                    elif cls is AltSet:
                         parts += [m for bundle in item.alternatives for m in bundle if deep(m)]
-                    elif isinstance(item, Feature) and deep(item):
-                        parts.append(item)
                 if table is not None or not segs:
                     parts += element.children
             if parts:
                 stack.append((element, items, segs, len(done)))
                 stack += reversed(parts)  # the first part is finished first
                 continue
-            taken = []  # nothing below: the element closes where it opens
+            taken = []  # nothing below: the element closes where it opens, and reads no `below`
         else:
             element, items, segs, start = element
             taken = done[start:]
             del done[start:]
-        below = iter(taken)
-        if isinstance(element, Feature):
-            done.append((None, None, intern(("feat", element.cat, "nested", *sorted(map(member_id, items))))))
+            below = iter(taken)
+        if type(element) is Feature:
+            fingerprint = intern(("feat", element.cat, "nested", *sorted(map(member_id, items))), len(table))
+            done.append((None, None, fingerprint))
             continue
         # The children's results come after those of bundle members and nested features.
         children = taken[len(taken) - len(element.children):] if taken else taken
-        seg_keys = sorted(map(seg_key, segs))
+        # Most nodes have one segment, whose key takes no sort.
+        seg_keys = [seg_key(segs[0])] if len(segs) == 1 else sorted(map(seg_key, segs))
         key: Optional[str] = "&".join(seg_keys)
         if not segs:  # with a table, nothing reads the key of a node without segments
             keys = sorted(k for k, _, _ in children if k is not None) if table is None else None
@@ -177,17 +182,21 @@ def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterato
         mode = type(segs[0].addr).__name__ if segs else None
         fingerprint = None
         if table is not None:
-            ids = [intern(("seg", k)) for k in seg_keys]
+            ids = [intern(("seg", k), len(table)) for k in seg_keys]
             for item in items:
-                if isinstance(item, Feature):
-                    ids.append(member_id(item))
-                elif isinstance(item, AltSet):
-                    bundles = (intern(("bundle", *sorted(map(member_id, b)))) for b in item.alternatives)
-                    ids.append(intern(("alt", *sorted(bundles))))
-                elif isinstance(item, Relation):
-                    ids.append(intern(("rel", item.rel_type or "", item.target)))
+                cls = type(item)
+                if cls is Feature:
+                    if item.target is None and item.nested is None:  # member_id(item), inline
+                        ids.append(intern(("feat", item.cat, "", item.text or ""), len(table)))
+                    else:
+                        ids.append(member_id(item))
+                elif cls is AltSet:
+                    bundles = (intern(("bundle", *sorted(map(member_id, b))), len(table)) for b in item.alternatives)
+                    ids.append(intern(("alt", *sorted(bundles)), len(table)))
+                elif cls is Relation:
+                    ids.append(intern(("rel", item.rel_type or "", item.target), len(table)))
             members = tuple(sorted([c[2] for c in children])) if children else ()
-            fingerprint = intern((element.type or "", tuple(sorted(ids)), members))
+            fingerprint = intern((element.type or "", tuple(sorted(ids)), members), len(table))
         done.append((key, mode, -1 if segs else fingerprint))
         yield element, key, mode, fingerprint, items, children
 
@@ -257,15 +266,17 @@ def _merge_level(
         else:  # the containers are built only here: one pair per key, not per node
             groups[key] = ([node], {mode})
     out: list[StructNode] = []
+    # What fold-alt appends to each bundle without a confidence: one immutable feature they all share.
+    filler = (Feature(cat=CONFIDENCE_CAT, text=str(policy.alt_confidence_fill)),)
     for key, (group, group_modes) in groups.items():
         if len(group_modes) > 1:
             raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(group_modes)}")
-        out.extend(_merge_group(group, key, policy, warnings))
+        out.extend(_merge_group(group, key, policy, filler, warnings))
     return out
 
 
 def _merge_group(
-    group: list[StructNode], key: str, policy: MergePolicy, warnings: list[str]
+    group: list[StructNode], key: str, policy: MergePolicy, filler: Bundle, warnings: list[str]
 ) -> list[StructNode]:
     if len(group) == 1 or policy.on_parallel == KEEP_ALL:
         return group
@@ -275,12 +286,10 @@ def _merge_group(
             if node not in distinct:
                 distinct.append(node)
         return distinct
-    return _fold_group(group, key, policy, warnings)
+    return _fold_group(group, key, filler, warnings)
 
 
-def _fold_group(
-    group: list[StructNode], key: str, policy: MergePolicy, warnings: list[str]
-) -> list[StructNode]:
+def _fold_group(group: list[StructNode], key: str, filler: Bundle, warnings: list[str]) -> list[StructNode]:
     if any(node.children for node in group):
         warnings.append(f"cannot fold nodes with children over anchor {key!r}; keeping all")
         return group
@@ -305,17 +314,18 @@ def _fold_group(
         if rest:
             # Aggregation: extras stay distinguishable per source node.
             extras.append(Bracket(tuple(rest)))
-    bundles = [_fill_confidence(b, policy.alt_confidence_fill) for b in bundles]
+    bundles = [_fill_confidence(b, filler) for b in bundles]
     first = group[0]
     anchor_items = tuple(item for item in first.items if isinstance(item, SegmentRef))
     items: tuple[NodeItem, ...] = anchor_items + (AltSet(tuple(bundles)),) + tuple(extras)
     return [StructNode(type=first.type, id=first.id, ref=first.ref, items=items)]
 
 
-def _fill_confidence(bundle: Bundle, fill: Decimal) -> Bundle:
-    if any(isinstance(member, Feature) and member.cat == CONFIDENCE_CAT for member in bundle):
-        return bundle
-    return bundle + (Feature(cat=CONFIDENCE_CAT, text=str(fill)),)
+def _fill_confidence(bundle: Bundle, filler: Bundle) -> Bundle:
+    for member in bundle:
+        if type(member) is Feature and member.cat == CONFIDENCE_CAT:
+            return bundle
+    return bundle + filler
 
 
 # ---------------------------------------------------------------------------

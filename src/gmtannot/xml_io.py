@@ -440,6 +440,9 @@ def serialize_gmt(doc: GmtDocument) -> str:
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     seen_ids: set[str] = set()
+    # A text feature's line without its indent, by id(feature): the reader shares equal leaves and merges
+    # reuse their inputs' features.  The document keeps each feature alive, so no id is reused meanwhile.
+    text_lines: dict[int, str] = {}
     # A frame: the values to write, their indentation, the closing line of their element (None
     # for an alternative set, whose bundles are the elements) and whether they form a bundle.
     stack: list[tuple[Iterator, str, Optional[str], bool]] = [(iter((doc.root,)), "", None, False)]
@@ -460,19 +463,31 @@ def serialize_gmt(doc: GmtDocument) -> str:
                 if value.nested is None:
                     if value.text is None:
                         _refuse(doc)
-                    lines.append(f"{pad}<feat type={_attr(value.cat)}>{_content(value.text)}</feat>")
+                    key = id(value)
+                    line = text_lines.get(key)
+                    if line is None:
+                        line = text_lines[key] = f"<feat type={_attr(value.cat)}>{_content(value.text)}</feat>"
+                    lines.append(pad + line)
                     continue
                 if value.text is not None or not value.nested:
                     _refuse(doc)
                 tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
             elif cls is StructNode:
-                if value.id is not None:
-                    if not value.id or value.id in seen_ids:
-                        _refuse(doc)
-                    seen_ids.add(value.id)
-                tag, attrs, content = "struct", _struct_attrs(value), value.items + value.children
+                if value.id is None and value.ref is None and value.type is not None:  # the most common shape
+                    attrs = f" type={_attr(value.type)}"
+                else:
+                    if value.id is not None:
+                        if not value.id or value.id in seen_ids:
+                            _refuse(doc)
+                        seen_ids.add(value.id)
+                    attrs = _struct_attrs(value)
+                tag, content = "struct", value.items + value.children
             elif cls is SegmentRef:
-                _write_seg(value, pad, lines, doc)
+                addr = value.addr
+                if type(addr) is IdTargets and len(addr.ids) == 1:  # the most common shape
+                    lines.append(f"{pad}<seg target={_attr('#' + addr.ids[0])}/>")
+                else:
+                    _write_seg(value, pad, lines, doc)
                 continue
             elif cls is AltSet:
                 if len(value.alternatives) < 2:
@@ -519,16 +534,14 @@ def _refuse(doc: GmtDocument) -> NoReturn:
 
 
 def _write_seg(seg: SegmentRef, pad: str, lines: list[str], doc: GmtDocument) -> None:
-    """Append the lines of one segment reference, or refuse ``doc`` if it breaks a rule."""
+    """Append the lines of a segment reference that is not one id (``serialize_gmt`` writes those),
+    or refuse ``doc`` if it breaks a rule."""
     addr = seg.addr
     if isinstance(addr, IdTargets):
         ids = addr.ids
-        if len(ids) == 1:
-            lines.append(f"{pad}<seg target={_attr('#' + ids[0])}/>")
-        elif not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
+        if not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
             _refuse(doc)
-        else:
-            lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
+        lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
     elif isinstance(addr, PositionalSpan):
         if not 0 <= addr.start <= addr.end:
             _refuse(doc)

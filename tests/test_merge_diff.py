@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -385,6 +386,32 @@ def test_distinct_addressing_gets_distinct_anchor_keys(left, right):
     report = diff(_anchored_doc(left), _anchored_doc(right))
     assert len(report.entries) == 2
     assert not report.all_equal
+
+
+def _escaped(text: str) -> str:
+    return "".join(f"%{ord(c):02X}" if c in "%,-&;:()" else c for c in text)
+
+
+@pytest.mark.parametrize("char", list("%,-&;:()"))
+def test_a_one_id_key_is_spelled_as_the_general_form(char):
+    target = f"a{char}b{char}"
+    general = "ids:" + ",".join(sorted(map(_escaped, (target,))))
+    assert general == f"ids:a%{ord(char):02X}b%{ord(char):02X}"
+    seg = SegmentRef(IdTargets((target,)))
+    assert seg_key(seg) == general
+    assert anchor_key(StructNode(type="W-level", items=(seg,))) == general
+
+
+def test_one_id_keys_join_sort_and_never_meet_multi_id_keys():
+    def ids(*targets: str) -> SegmentRef:
+        return SegmentRef(IdTargets(targets))
+
+    assert anchor_key(StructNode(type="W-level", items=(ids("b"), ids("a")))) == "ids:a&ids:b"
+    assert seg_key(ids("a", "a")) == "ids:a,a" != seg_key(ids("a"))
+    names = ["a", "b", "a,b", "b,a", "a%2Cb", "a,", ",b", "%", "a&ids:b"]
+    one = {seg_key(ids(name)) for name in names}
+    multi = {seg_key(ids(*pair)) for pair in itertools.permutations(names, 2)}
+    assert len(one) == len(names) and not one & multi
 
 
 def test_segless_anchor_keys_nest_and_escape():

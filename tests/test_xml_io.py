@@ -22,13 +22,16 @@ from gmtannot import (
     Relation,
     SegmentRef,
     StructNode,
+    FOLD_TO_ALT,
+    MergePolicy,
     default_registry,
+    merge,
     parse_gmt,
     serialize_gmt,
     validate_categories,
     validate_structure,
 )
-from gmtannot.model import walk_elements
+from gmtannot.model import replace, walk_elements
 from conftest import FIXTURES, load_fixture
 from randgen import random_document, random_markup
 
@@ -714,3 +717,59 @@ def test_nested_features_keep_their_own_identity_as_owners():
     assert outer[0].nested[0] is outer[1].nested[0]
     owners = [owner for _, owner, element in walk_elements(doc) if getattr(element, "cat", None) == "num"]
     assert owners[0] is outer[0] and owners[1] is outer[1]
+
+
+# ---------------------------------------------------------------------------
+# the writer's per-call line table: one object written at many places
+
+
+def test_a_shared_confidence_is_checked_at_each_place():
+    bad = Feature(cat="confidence", text="5")  # out of range, an error only as a bundle member
+    first = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))), bad))
+    alts = AltSet(((Feature(cat="pos", text="NOUN"), bad), (Feature(cat="pos", text="VERB"),)))
+    second = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w2",))), alts))
+    doc = GmtDocument(StructNode(type="MSAnnot", children=(first, second)))
+    errors = validate_structure(doc).errors
+    assert [(e.code, e.path) for e in errors] == [("BAD_CONFIDENCE", "/struct[1]/struct[2]/alt[1]/feat[2]")]
+    with pytest.raises(GmtSerializeError) as exc:
+        serialize_gmt(doc)
+    assert str(exc.value) == f"invalid document: {errors[0].code} at {errors[0].path}: {errors[0].message}"
+
+
+def _hostile_at_three_depths(feature) -> GmtDocument:
+    """``feature()`` as a root item, a bracket member one level down and a bundle member two levels down."""
+    alts = AltSet(((feature(), Feature(cat="pos", text="NOUN")), (Feature(cat="pos", text="VERB"),)))
+    inner = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))), alts))
+    middle = StructNode(type="phrase", items=(Bracket((feature(),)),), children=(inner,))
+    return GmtDocument(StructNode(type="MSAnnot", items=(feature(),), children=(middle,)))
+
+
+def test_a_shared_feature_writes_the_bytes_of_distinct_equal_ones():
+    shared = Feature(cat="note", text="a&b<c>\rd")
+    doc, distinct = _hostile_at_three_depths(lambda: shared), _hostile_at_three_depths(lambda: replace(shared))
+    text = serialize_gmt(doc)
+    assert text == serialize_gmt(distinct)
+    line = '<feat type="note">a&amp;b&lt;c&gt;&#13;d</feat>'
+    assert [pad for pad in ("  ", "      ", "        ") if f"\n{pad}{line}\n" in text] == ["  ", "      ", "        "]
+    assert parse_gmt(text)[0] == doc
+
+
+def test_a_fold_alt_filler_shared_by_its_bundles_writes_the_bytes_of_distinct_ones():
+    def layer(pos: str) -> GmtDocument:
+        words = [StructNode(type="W-level", items=(SegmentRef(IdTargets((f"w{k}",))), Feature(cat="pos", text=pos)))
+                 for k in range(1, 4)]
+        return GmtDocument(StructNode(type="MSAnnot", children=tuple(words)))
+
+    merged = merge([layer("NOUN"), layer("VERB")], MergePolicy(FOLD_TO_ALT))
+    fillers = [m for node in merged.root.children for bundle in node.items[1].alternatives for m in bundle
+               if m.cat == "confidence"]
+    assert len(fillers) == 6 and all(f is fillers[0] for f in fillers)
+
+    def fresh(bundle: tuple) -> tuple:
+        return tuple(replace(m) if m.cat == "confidence" else m for m in bundle)
+
+    distinct = GmtDocument(replace(merged.root, children=tuple(
+        replace(node, items=(node.items[0], AltSet(tuple(map(fresh, node.items[1].alternatives)))))
+        for node in merged.root.children)))
+    assert distinct == merged
+    assert serialize_gmt(distinct) == serialize_gmt(merged)
