@@ -29,6 +29,7 @@ from .model import (
     Record,
     SegmentRef,
     StructNode,
+    _leaf,
     _set,
     iter_items,
 )
@@ -205,13 +206,14 @@ def ag_to_gmt(
     ordered by (position, id).  Each arc becomes a node whose type and
     payload category come from the arc's ``att_1`` value through the
     type map; remaining label attributes tag along as features named by
-    the attribute.
+    the attribute.  Equal features are one object, as the reader makes them.
     """
+    leaves: dict[tuple[str, str], Feature] = {}
     landmark_children = tuple(
         StructNode(
             type="landmark",
             id=node_id,
-            items=(Feature(cat="position", text=str(offset)),),
+            items=(_leaf(leaves, "position", str(offset)),),
         )
         for node_id, offset in sorted(graph.nodes.items(), key=lambda kv: (kv[1], kv[0]))
     )
@@ -231,7 +233,7 @@ def ag_to_gmt(
             if name == ARC_TYPE_ATTR:
                 continue
             cat = payload_cat if name == ARC_PAYLOAD_ATTR else name
-            items.append(Feature(cat=cat, text=value))
+            items.append(_leaf(leaves, cat, value))
         by_type.setdefault(att1, []).append(StructNode(type=payload_cat, items=tuple(items)))
     docs = [landmark_doc]
     for att1, structs in by_type.items():

@@ -98,6 +98,11 @@ class Feature(Record):
         _set(self, "target", target)
 
 
+def _leaf(leaves: dict[tuple[str, str], Feature], cat: str, text: str) -> Feature:
+    """The text feature ``(cat, text)`` in ``leaves``, added at its first use: equal leaves become one object."""
+    return leaves.get((cat, text)) or leaves.setdefault((cat, text), Feature(cat=cat, text=text))
+
+
 #: One alternative reading: features, plus nested nodes for structural
 #: alternatives (accepted on import, opaque to selection).
 Bundle = tuple[Union[Feature, "StructNode"], ...]

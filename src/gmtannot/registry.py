@@ -203,9 +203,15 @@ def validate_categories(doc: GmtDocument, registry: Registry) -> ValidationRepor
     not checked.
     """
     findings: list[Finding] = []
+    # _check_feature's result by id(feature), for features shared by many places.  The document keeps
+    # each feature alive, so no id is reused during the call.
+    checked: dict[int, Optional[tuple[str, str]]] = {}
     for path, _, element in walk_elements(doc):
-        if isinstance(element, Feature):
-            problem = _check_feature(element, registry)
+        if type(element) is Feature:
+            key = id(element)
+            if key not in checked:
+                checked[key] = _check_feature(element, registry)
+            problem = checked[key]
             if problem is not None:
                 code, message = problem
                 findings.append(Finding(ERROR, code, render_path(path), message))

@@ -29,7 +29,8 @@ The reader holds no reference cycle, so a parsed document is freed by
 reference counting as soon as its caller drops it, without waiting for
 the cyclic collector.  Within one document, equal leaf features (same
 category, same text, no nested value) are one shared object; the model
-is immutable, so ``==``, paths and the writer cannot tell.
+is immutable, so ``==``, paths and the writer cannot tell.  Leaf
+elements are read without a frame until a child arrives (see ``_Frame``).
 
 The writer checks each element as it writes it, and reports the first
 ``validate_structure`` error of a document it refuses.  Serialization is
@@ -65,6 +66,7 @@ from .model import (
     SegmentRef,
     StructNode,
     _finite_decimal,
+    _leaf,
     validate_structure,
 )
 
@@ -91,7 +93,9 @@ class ParseDiagnostics(NamedTuple):
 # A <seg>'s first member is its own reference.  ``text`` is the element's
 # text so far and ``last`` the tag of its last closed child (None for none).
 # Once it has a child, only whether its text is blank matters, so blank text
-# between children is dropped.
+# between children is dropped.  A <feat> with only ``type``, and a <seg> with
+# only ``target`` in a <struct> or <brack>, is a pending leaf with no frame
+# until a child's start tag gives it one, at its own position.
 _Frame = list
 
 
@@ -101,6 +105,8 @@ class _GmtBuilder:
         self.stack: list[_Frame] = [["", _ROOT, {}, (0, 0), [], "", None]]
         self.warnings: list[ParseWarning] = []
         self.skip_depth = 0
+        # The open leaf that has no frame: (tag, category or SegmentRef, attrs, pos), or None.
+        self.pending: Optional[tuple[str, object, dict[str, str], tuple[int, int]]] = None
         self.leaves: dict[tuple[str, str], Feature] = {}  # equal text features, shared
         # expat appends each run of text here; the next tag hands it to the open element.
         self.chunks: list[str] = []
@@ -131,6 +137,8 @@ class _GmtBuilder:
         if self.skip_depth:  # the skipped element's end tag drops its text
             self.skip_depth += 1
             return
+        if self.pending is not None:  # the pending leaf has a child after all
+            self._open_pending()
         chunks = self.chunks
         parent = self.stack[-1]
         if chunks:
@@ -143,6 +151,13 @@ class _GmtBuilder:
             return
         parser = self.parser
         pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        if len(attrs) == 1:
+            if tag == "feat" and "type" in attrs:
+                self.pending = (tag, attrs["type"], attrs, pos)
+                return
+            if tag == "seg" and "target" in attrs and parent[0] in ("struct", "brack"):
+                self.pending = (tag, SegmentRef(IdTargets((attrs["target"].removeprefix("#"),))), attrs, pos)
+                return
         frame = [tag, row, attrs, pos, [], "", None]
         if row.attrs is not None and not row.attrs.issuperset(attrs):
             for name in attrs:
@@ -151,6 +166,12 @@ class _GmtBuilder:
         if tag == "seg":
             frame[4].append(self._read_seg(attrs, pos))
         self.stack.append(frame)
+
+    def _open_pending(self) -> None:
+        """Give the pending leaf the frame that ``_start`` did not open for it."""
+        tag, value, attrs, pos = self.pending
+        self.pending = None
+        self.stack.append([tag, _ELEMENTS[tag], attrs, pos, [value] if tag == "seg" else [], "", None])
 
     def _other(self, tag: str, parent: _Frame) -> Optional[_Element]:
         """The row of a tag that its parent's row does not map, or None when the element is skipped."""
@@ -168,6 +189,17 @@ class _GmtBuilder:
         if self.skip_depth:
             chunks.clear()
             self.skip_depth -= 1
+            return
+        pending = self.pending
+        if pending is not None:  # no child arrived, so this is the pending leaf's end tag
+            self.pending = None
+            parent = self.stack[-1]
+            if tag == "feat":
+                parent[4].append(_leaf(self.leaves, pending[1], "".join(chunks).strip()))
+            else:
+                parent[4].append(pending[1])
+            chunks.clear()
+            parent[6] = tag
             return
         stack = self.stack
         frame = stack.pop()
@@ -209,12 +241,6 @@ class _GmtBuilder:
             children,
         ))
 
-    def _leaf(self, cat: str, text: str) -> Feature:
-        feat = self.leaves.get((cat, text))
-        if feat is None:
-            feat = self.leaves[cat, text] = Feature(cat=cat, text=text)
-        return feat
-
     def _close_feat(self, frame: _Frame, parent: _Frame, text: str) -> None:
         cat = frame[2].get("type")
         if cat is None:
@@ -230,7 +256,7 @@ class _GmtBuilder:
                 target=target.removeprefix("#") if target is not None else None,
             ))
         else:
-            parent[4].append(self._leaf(cat, text.strip()))
+            parent[4].append(_leaf(self.leaves, cat, text.strip()))
 
     def _close_alt(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if text.strip():
@@ -289,7 +315,7 @@ class _GmtBuilder:
         else:
             # Leaf elements outside the core tag set are read as features named
             # by the element, which keeps landmark descriptions parseable.
-            parent[4].append(self._leaf(frame[0], text.strip()))
+            parent[4].append(_leaf(self.leaves, frame[0], text.strip()))
 
     def _finish(self, members: list) -> tuple[tuple[NodeItem, ...], tuple[StructNode, ...]]:
         """Split members into items and child nodes, pair landmark endpoints and fold <alt> runs."""
@@ -317,8 +343,6 @@ class _GmtBuilder:
         return tuple(items), tuple(children)
 
     def _read_seg(self, attrs: dict[str, str], pos: tuple[int, int]) -> SegmentRef:
-        if len(attrs) == 1 and "target" in attrs:
-            return SegmentRef(IdTargets((attrs["target"].removeprefix("#"),)))
         id_mode = "target" in attrs or "targets" in attrs
         start_raw = self._positional_attr(attrs, "startsAt", "startPosition", pos)
         end_raw = self._positional_attr(attrs, "endsAt", "endPosition", pos)

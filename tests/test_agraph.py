@@ -26,7 +26,9 @@ from gmtannot import (
     load_type_map,
     parse_ag,
     serialize_ag,
+    serialize_gmt,
 )
+from gmtannot.model import replace
 from conftest import load_fixture
 from randgen import random_graph
 
@@ -111,6 +113,19 @@ def test_ag_to_gmt_matches_landmark_layout(graph):
     first_word = words.root.children[0]
     assert SegmentRef(LandmarkEndpoints("1", "3")) in first_word.items
     assert Feature(cat="source", text="she") in first_word.items
+
+
+def test_ag_to_gmt_shares_equal_features_invisibly():
+    arcs = tuple(AgArc(str(k), str(k + 1), (("att_1", "P"), ("att_2", "sh"), ("stress", "1"))) for k in range(3))
+    graph = AnnotationGraph({str(k): 10 * k for k in range(4)}, arcs)
+    landmarks, phones = ag_to_gmt(graph)
+    features = [item for node in phones.root.children for item in node.items if isinstance(item, Feature)]
+    assert features == [Feature(cat="phone", text="sh"), Feature(cat="stress", text="1")] * 3
+    assert all(f is features[k % 2] for k, f in enumerate(features))  # one object per equal value
+    distinct = GmtDocument(replace(phones.root, children=tuple(
+        replace(node, items=tuple(replace(item) for item in node.items)) for node in phones.root.children)))
+    assert features[0] is not distinct.root.children[1].items[1]
+    assert serialize_gmt(distinct) == serialize_gmt(phones)
 
 
 def test_ag_to_gmt_empty_graph():

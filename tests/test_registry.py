@@ -8,6 +8,8 @@ from itertools import product
 import pytest
 
 from gmtannot import (
+    AltSet,
+    Bracket,
     ClosedSet,
     DecimalRange,
     Feature,
@@ -21,6 +23,7 @@ from gmtannot import (
     parse_gmt,
     validate_categories,
 )
+from gmtannot.model import replace
 from conftest import load_fixture
 from randgen import random_registry_text
 
@@ -204,6 +207,34 @@ def test_features_inside_alternatives_are_checked():
     )
     report = validate_categories(bad, default_registry())
     assert [f.code for f in report.findings] == ["VALUE_NOT_IN_SET"]
+
+
+def _one_feature_at_five_places(feature) -> GmtDocument:
+    """``feature()`` as a node item, a bundle member, a bracket member and nested under two owners."""
+    alts = AltSet(((feature(),), (Feature(cat="lemma", text="x"),)))
+    child = StructNode(items=(Feature(cat="agr", nested=(feature(),)),))
+    items = (feature(), alts, Bracket((feature(),)), Feature(cat="agr", nested=(feature(),)))
+    return GmtDocument(StructNode(items=items, children=(child,)))
+
+
+def test_a_feature_at_many_places_gets_each_registrys_findings_at_each_place():
+    shared = Feature(cat="pos", text="ADJ")
+    doc, distinct = _one_feature_at_five_places(lambda: shared), _one_feature_at_five_places(lambda: replace(shared))
+    closed = load_registry("pos kind=set:NOUN,VERB\nlemma kind=open\nagr kind=open\n")
+    findings = validate_categories(doc, closed).findings
+    assert findings == validate_categories(distinct, closed).findings
+    assert [(f.code, f.path) for f in findings] == [
+        ("VALUE_NOT_IN_SET", path)
+        for path in ("/struct[1]/feat[1]", "/struct[1]/alt[1]/feat[1]", "/struct[1]/brack[1]/feat[1]",
+                     "/struct[1]/feat[2]/feat[1]", "/struct[1]/struct[1]/feat[1]/feat[1]")
+    ]
+    # The same document against another registry: the results of the first call are not reused.
+    widened = load_registry("pos kind=set:ADJ\nlemma kind=open\n")
+    findings = validate_categories(doc, widened).findings
+    assert findings == validate_categories(distinct, widened).findings
+    assert [(f.code, f.path) for f in findings] == [
+        ("UNKNOWN_CATEGORY", "/struct[1]/feat[2]"), ("UNKNOWN_CATEGORY", "/struct[1]/struct[1]/feat[1]")
+    ]
 
 
 def test_alias_validation_equals_canonical_rename():

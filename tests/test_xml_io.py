@@ -33,7 +33,7 @@ from gmtannot import (
 )
 from gmtannot.model import replace, walk_elements
 from conftest import FIXTURES, load_fixture
-from randgen import random_document, random_markup
+from randgen import deep_feature_text, random_document, random_markup
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +717,45 @@ def test_nested_features_keep_their_own_identity_as_owners():
     assert outer[0].nested[0] is outer[1].nested[0]
     owners = [owner for _, owner, element in walk_elements(doc) if getattr(element, "cat", None) == "num"]
     assert owners[0] is outer[0] and owners[1] is outer[1]
+
+
+# ---------------------------------------------------------------------------
+# leaf elements (<feat type>, one-target <seg> in a node or bracket) are read without a frame
+# until a child arrives
+
+LEAF_ROWS = [
+    ("leaf-gets-a-child", '<struct>\n <feat type="x">a\n  <feat type="y">b</feat></feat>\n</struct>',
+     (Feature(cat="x", nested=(Feature(cat="y", text="b"),)),),
+     [(2, 2, "<feat> mixes text with child elements; text ignored")]),
+    ("empty-feat", '<struct><feat type="x"/><feat type="x"></feat></struct>',
+     (Feature(cat="x", text=""), Feature(cat="x", text="")), []),
+    ("seg-content-in-brack", '<struct><brack><seg target="#a"><feat type="x">1</feat></seg></brack></struct>',
+     (Feature(cat="x", text="1"), Bracket((SegmentRef(IdTargets(("a",))),))),
+     [(1, 16, "<seg> with element content; content attached to the enclosing node")]),
+    ("seg-content-in-unknown", '<struct><meta><seg target="#a"><feat type="x">1</feat></seg></meta></struct>', (),
+     [(1, 9, "unknown element <meta>; skipped"), (1, 15, "<seg> in an unexpected position; ignored")]),
+    ("in-a-skipped-subtree",
+     '<struct><feat type="x"><seg target="#a"><feat type="y">1</feat><seg target="#b"/></seg></feat>'
+     '<seg target="#c"/><rel target="#r"><feat type="y">1</feat></rel><feat type="z">2</feat></struct>',
+     (Feature(cat="x", text=""), SegmentRef(IdTargets(("c",))), Relation(target="r"), Feature(cat="z", text="2")),
+     [(1, 24, "<feat> cannot contain <seg>; element skipped"), (1, 130, "<rel> cannot contain <feat>; element skipped")]),
+]
+
+
+@pytest.mark.parametrize("text, items, warnings", [row[1:] for row in LEAF_ROWS], ids=[row[0] for row in LEAF_ROWS])
+def test_leaf_edges(text, items, warnings):
+    doc, diagnostics = parse_gmt(text)
+    assert doc.root.items == items
+    assert sorted(diagnostics.warnings) == warnings
+
+
+def test_a_3000_deep_nested_feature_reads_and_rewrites_to_the_same_bytes():
+    doc, diagnostics = parse_gmt(deep_feature_text(3000))
+    assert diagnostics.warnings == ()
+    text = serialize_gmt(doc)
+    again, diagnostics = parse_gmt(text)
+    assert diagnostics.warnings == ()
+    assert serialize_gmt(again) == text  # compared as bytes: == on a 3000-deep feature still recurses
 
 
 # ---------------------------------------------------------------------------
