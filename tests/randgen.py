@@ -45,13 +45,14 @@ CONFIDENCES = ["0", "0.25", "0.4", "0.6", "0.75", "1"]
 
 
 class DocBuilder:
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, id_prefix: str = "n"):
         self.rng = rng
+        self.id_prefix = id_prefix
         self.counter = 0
 
     def fresh_id(self) -> str:
         self.counter += 1
-        return f"n{self.counter}"
+        return f"{self.id_prefix}{self.counter}"
 
     def feature(self, depth: int = 0) -> Feature:
         rng = self.rng
@@ -126,9 +127,9 @@ class DocBuilder:
         )
 
 
-def random_document(rng: random.Random) -> GmtDocument:
-    """A structurally valid document with varied content."""
-    builder = DocBuilder(rng)
+def random_document(rng: random.Random, id_prefix: str = "n") -> GmtDocument:
+    """A structurally valid document with varied content; its node ids are ``id_prefix`` and a number."""
+    builder = DocBuilder(rng, id_prefix)
     children = tuple(builder.node(depth=1) for _ in range(rng.randint(0, 5)))
     return GmtDocument(StructNode(type="MSAnnot", children=children))
 
@@ -149,9 +150,9 @@ def random_anchored_node(rng: random.Random, builder: DocBuilder, used_keys: set
     )
 
 
-def random_mergeable_document(rng: random.Random, doc_type: str = "MSAnnot") -> GmtDocument:
-    """A flat document whose top-level nodes each carry a distinct anchor."""
-    builder = DocBuilder(rng)
+def random_mergeable_document(rng: random.Random, doc_type: str = "MSAnnot", id_prefix: str = "n") -> GmtDocument:
+    """A flat document whose top-level nodes each carry a distinct anchor; its node ids are ``id_prefix`` and a number."""
+    builder = DocBuilder(rng, id_prefix)
     used: set = set()
     children = tuple(random_anchored_node(rng, builder, used) for _ in range(rng.randint(1, 6)))
     return GmtDocument(StructNode(type=doc_type, children=children))
@@ -169,10 +170,10 @@ MARKUP_USUAL_ATTRS = {
     "endsAt": [("target",), ()],
 }
 MARKUP_VALUES = {
-    "type": ["lemma", "pos", "W-level", "", "a b"],
-    "id": ["n1", "n2", "w1", "", "x y"],
+    "type": ["lemma", "pos", "W-level", "", "a b", "a&amp;b&quot;", "x&#9;y>"],
+    "id": ["n1", "n2", "w1", "", "x y", "n&#10;3", "&lt;q"],
     "ref": ["#n1", "n2", "#"],
-    "target": ["#w1", "w2", "#n1", "", "#x y", "##w3"],
+    "target": ["#w1", "w2", "#n1", "", "#x y", "##w3", "#w&#13;4"],
     "targets": ["w1 w2", "#w1 w3", "w2", "##w4 w5", "", " w6 "],
     "startsAt": ["0", "3", "12", "-1", "x"],
     "endsAt": ["0", "5", "20", " 7 "],
@@ -181,7 +182,7 @@ MARKUP_VALUES = {
 MARKUP_VALUES["ID"] = MARKUP_VALUES["id"]
 MARKUP_VALUES["startPosition"] = MARKUP_VALUES["startsAt"]
 MARKUP_VALUES["endPosition"] = MARKUP_VALUES["endsAt"]
-MARKUP_TEXT = ["", "", "", "NOUN", " tête ", "a &amp; b", "&lt;x&gt;", "\n  "]
+MARKUP_TEXT = ["", "", "", "NOUN", " tête ", "a &amp; b", "&lt;x&gt;", "\n  ", "a&#13;b", '"q" >']
 
 
 def random_markup(rng: random.Random, depth: int = 4) -> str:
