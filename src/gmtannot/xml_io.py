@@ -210,6 +210,8 @@ class _GmtBuilder:
         if frame[6] is not None and text.strip():
             self._warn(f"<{tag}> mixes text with child elements; text ignored", frame[3])
             text = ""
+        elif tag in ("struct", "alt", "brack") and text.strip():  # elements that hold no text
+            self._warn(f"<{tag}> contains stray text; ignored", frame[3])
         parent = stack[-1]
         frame[1].close(self, frame, parent, text)
         parent[6] = tag
@@ -226,8 +228,6 @@ class _GmtBuilder:
     # The members of an unknown element are dropped with it.
 
     def _close_struct(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if text.strip():
-            self._warn("<struct> contains stray text; ignored", frame[3])
         attrs = frame[2]
         if "id" in attrs and "ID" in attrs:
             self._warn("both 'id' and 'ID' given; 'id' wins", frame[3])
@@ -259,8 +259,6 @@ class _GmtBuilder:
             parent[4].append(_leaf(self.leaves, cat, text.strip()))
 
     def _close_alt(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if text.strip():
-            self._warn("<alt> contains stray text; ignored", frame[3])
         if parent[1] is _UNKNOWN:
             self._warn("<alt> outside a node; ignored", frame[3])
         elif parent[6] == "alt":  # the run that the previous sibling opened
@@ -293,8 +291,6 @@ class _GmtBuilder:
         return "attached to the enclosing node" if owner[0] == "struct" else f"dropped with unknown <{owner[0]}>"
 
     def _close_brack(self, frame: _Frame, parent: _Frame, text: str) -> None:
-        if text.strip():
-            self._warn("<brack> contains stray text; ignored", frame[3])
         items, children = self._finish(frame[4])
         if children:
             self._warn(f"<brack> cannot group nodes; nodes {self._lift(children)}", frame[3])
@@ -497,21 +493,32 @@ def serialize_gmt(doc: GmtDocument) -> str:
                     _refuse(doc)
                 tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
             elif cls is StructNode:
-                if value.id is None and value.ref is None and value.type is not None:  # the most common shape
-                    attrs = f" type={_attr(value.type)}"
-                else:
-                    if value.id is not None:
-                        if not value.id or value.id in seen_ids:
-                            _refuse(doc)
-                        seen_ids.add(value.id)
-                    attrs = _struct_attrs(value)
+                attrs = f" type={_attr(value.type)}" if value.type is not None else ""
+                if value.id is not None:
+                    if not value.id or value.id in seen_ids:
+                        _refuse(doc)
+                    seen_ids.add(value.id)
+                    attrs += f" id={_attr(value.id)}"
+                if value.ref is not None:
+                    attrs += f" ref={_attr('#' + value.ref)}"
                 tag, content = "struct", value.items + value.children
             elif cls is SegmentRef:
                 addr = value.addr
-                if type(addr) is IdTargets and len(addr.ids) == 1:  # the most common shape
+                mode = type(addr)
+                if mode is IdTargets and len(addr.ids) == 1:  # the most common shape
                     lines.append(f"{pad}<seg target={_attr('#' + addr.ids[0])}/>")
+                elif mode is IdTargets:
+                    ids = addr.ids
+                    if not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
+                        _refuse(doc)
+                    lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
+                elif mode is PositionalSpan:
+                    if not 0 <= addr.start <= addr.end:
+                        _refuse(doc)
+                    lines.append(f"{pad}<seg startsAt={_attr(str(addr.start))} endsAt={_attr(str(addr.end))}/>")
                 else:
-                    _write_seg(value, pad, lines, doc)
+                    lines.append(f"{pad}<startsAt target={_attr('#' + addr.start)}/>")
+                    lines.append(f"{pad}<endsAt target={_attr('#' + addr.end)}/>")
                 continue
             elif cls is AltSet:
                 if len(value.alternatives) < 2:
@@ -541,35 +548,7 @@ def serialize_gmt(doc: GmtDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _struct_attrs(node: StructNode) -> str:
-    parts = []
-    if node.type is not None:
-        parts.append(f"type={_attr(node.type)}")
-    if node.id is not None:
-        parts.append(f"id={_attr(node.id)}")
-    if node.ref is not None:
-        parts.append(f"ref={_attr('#' + node.ref)}")
-    return (" " + " ".join(parts)) if parts else ""
-
-
 def _refuse(doc: GmtDocument) -> NoReturn:
     first = validate_structure(doc).errors[0]
     raise GmtSerializeError(f"invalid document: {first.code} at {first.path}: {first.message}")
 
-
-def _write_seg(seg: SegmentRef, pad: str, lines: list[str], doc: GmtDocument) -> None:
-    """Append the lines of a segment reference that is not one id (``serialize_gmt`` writes those),
-    or refuse ``doc`` if it breaks a rule."""
-    addr = seg.addr
-    if isinstance(addr, IdTargets):
-        ids = addr.ids
-        if not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
-            _refuse(doc)
-        lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
-    elif isinstance(addr, PositionalSpan):
-        if not 0 <= addr.start <= addr.end:
-            _refuse(doc)
-        lines.append(f"{pad}<seg startsAt={_attr(str(addr.start))} endsAt={_attr(str(addr.end))}/>")
-    else:
-        lines.append(f"{pad}<startsAt target={_attr('#' + addr.start)}/>")
-        lines.append(f"{pad}<endsAt target={_attr('#' + addr.end)}/>")
