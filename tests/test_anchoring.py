@@ -55,6 +55,8 @@ def test_tokenize_whitespace_offsets():
         Token("w4", 14, 24),
     )
     assert SENTENCE[5:9] == "aime"
+    assert index.get("w2") == Token("w2", 5, 9)
+    assert index.get("w5") is None
 
 
 def test_tokenize_spans_are_ordered_and_disjoint():
@@ -166,6 +168,7 @@ def test_landmark_errors_inside_an_alternative_name_the_walk_path(attrs, positio
 def test_resolve_positional_is_identity():
     span = resolve_seg(SegmentRef(PositionalSpan(2300, 3200)))
     assert (span.layer, span.start, span.end) == ("primary", 2300, 3200)
+    assert span.is_span
 
 
 def test_resolve_tokens_covering_span():
@@ -198,6 +201,7 @@ def test_resolve_object_based():
     assert span.layer == "morph"
     assert span.target_nodes == ("w3.2", "w4")
     assert span.start is None
+    assert not span.is_span
 
 
 def test_resolve_unknown_target_names_the_id():

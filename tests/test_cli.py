@@ -442,10 +442,16 @@ def test_diff_of_3000_deep_nesting_through_the_cli(tmp_path, make):
     [
         ("keep-all", ""),
         ("fold-alt", "gmtannot: cannot fold nodes with children over anchor 'ids:w1'; keeping all\n"),
+        pytest.param(
+            "dedup", "",
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason="ROADMAP item 1: comparing the two copies recurses through record equality",
+            ),
+        ),
     ],
 )
 def test_merge_of_an_anchored_node_over_a_3000_deep_chain_through_the_cli(tmp_path, policy, err):
-    # Under dedup, comparing the two copies still recurses through record equality.
     chain = tmp_path / "chain.xml"
     chain.write_text(deep_segless_text(3000), encoding="utf-8")
     out = tmp_path / "out.xml"
@@ -454,7 +460,10 @@ def test_merge_of_an_anchored_node_over_a_3000_deep_chain_through_the_cli(tmp_pa
     with out.open(encoding="utf-8") as merged:
         head = [next(merged) for _ in range(4)]
     out.unlink()  # tens of megabytes of indentation
-    assert head[1:] == ['<struct type="W-level">\n', '  <struct type="W-level">\n', '    <seg target="#w1"/>\n']
+    if policy == "dedup":  # the one copy itself
+        assert head[1:] == ['<struct type="W-level">\n', '  <seg target="#w1"/>\n', '  <feat type="pos">NOUN</feat>\n']
+    else:  # both copies under a container root
+        assert head[1:] == ['<struct type="W-level">\n', '  <struct type="W-level">\n', '    <seg target="#w1"/>\n']
 
 
 # ---------------------------------------------------------------------------

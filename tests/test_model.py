@@ -365,6 +365,20 @@ def test_non_finite_confidence_is_bad_and_counts_as_zero(text):
     assert select_preferred_alternative(AltSet((bad, good))) == good
 
 
+def test_a_confidence_with_a_target_has_no_value_and_counts_as_zero():
+    pointer = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", target="c1"))
+    zero = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0"))
+    doc = GmtDocument(StructNode(type="W-level", items=(AltSet((pointer, zero)),)))
+    finding = ("BAD_CONFIDENCE", "/struct[1]/alt[1]/feat[2]", "confidence value None is not a decimal in [0, 1]")
+    assert [(f.code, f.path, f.message) for f in validate_structure(doc).findings] == [finding]
+    with pytest.raises(GmtSerializeError) as exc:
+        serialize_gmt(doc)
+    assert str(exc.value) == "invalid document: {} at {}: {}".format(*finding)
+    # Counted as 0, it ties with "0", so the first of the two bundles wins either way round.
+    assert select_preferred_alternative(AltSet((pointer, zero))) == pointer
+    assert select_preferred_alternative(AltSet((zero, pointer))) == zero
+
+
 def test_finite_confidence_above_one_still_ranks():
     loud = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", text=" 5 "))
     quiet = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.9"))

@@ -566,6 +566,35 @@ def test_round_trip_500_random_documents():
         assert serialize_gmt(again) == text
 
 
+def _lemma_doc(text: str) -> GmtDocument:
+    return GmtDocument(StructNode(type="MSAnnot", items=(Feature(cat="lemma", text=text),)))
+
+
+_NOUN, _VERB, _ADJ, _DET = ((Feature(cat="pos", text=pos),) for pos in ("NOUN", "VERB", "ADJ", "DET"))
+# Documents that validate_structure accepts but that do not come back from their own bytes, each with what
+# the round trip raises today and why (ROADMAP item 2).
+ROUND_TRIP_GAPS = [
+    ("adjacent-alt-sets", GmtDocument(StructNode(type="MSAnnot", items=(AltSet((_NOUN, _VERB)), AltSet((_ADJ, _DET))))),
+     AssertionError, "two adjacent alternative sets are read back as one 4-way set"),
+    ("blank-edged-text", _lemma_doc(" x "), AssertionError, "the reader trims the text that the writer wrote"),
+    ("control-character", _lemma_doc("a\x01b"), GmtParseError, "the writer emits a character that XML 1.0 forbids"),
+    ("lone-surrogate", _lemma_doc("a\ud800"), UnicodeEncodeError, "the writer emits a lone surrogate"),
+]
+
+
+def test_the_round_trip_gaps_are_valid_documents():
+    assert [validate_structure(doc).errors for _, doc, _, _ in ROUND_TRIP_GAPS] == [()] * len(ROUND_TRIP_GAPS)
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(doc, id=name, marks=pytest.mark.xfail(strict=True, raises=raises, reason=f"ROADMAP item 2: {why}"))
+    for name, doc, raises, why in ROUND_TRIP_GAPS
+])
+def test_a_valid_document_round_trips_through_its_utf8_bytes(doc):
+    again, _ = parse_gmt(serialize_gmt(doc).encode("utf-8").decode("utf-8"))
+    assert again == doc
+
+
 def test_random_markup_is_read_or_refused_and_valid_documents_round_trip():
     rng = random.Random(2009)
     valid = 0
