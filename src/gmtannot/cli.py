@@ -31,8 +31,8 @@ from .errors import (
     UnresolvedTargetError,
 )
 from .merge import DEDUP_IDENTICAL, FOLD_TO_ALT, KEEP_ALL, MergePolicy, diff, merge
-from .model import GmtDocument, SegmentRef, ValidationReport, iter_items, validate_structure
-from .registry import default_registry, load_registry, validate_categories
+from .model import GmtDocument, SegmentRef, ValidationReport, _validate, iter_items
+from .registry import _check_feature, default_registry, load_registry
 from .xml_io import parse_gmt, serialize_gmt
 
 OK, FINDINGS, FAILURE = 0, 1, 2
@@ -65,9 +65,8 @@ def _load_document(path: str) -> GmtDocument:
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
     reg = load_registry(_read(args.registry)) if args.registry is not None else default_registry()
-    report = ValidationReport(
-        validate_structure(doc).findings + validate_categories(doc, reg).findings
-    )
+    structure, categories = _validate(doc, True, lambda feat: _check_feature(feat, reg))
+    report = ValidationReport(tuple(structure + categories))
     if report.findings:
         print(report.render())
     return OK if report.ok else FINDINGS

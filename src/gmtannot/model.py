@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from operator import attrgetter
-from typing import Any, Iterator, Optional, TypeVar, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 ERROR = "error"
 WARNING = "warning"
@@ -346,63 +346,133 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
     position.  The checks are purely structural; data category semantics
     are validated separately against a registry.
     """
-    findings: list[Finding] = []
+    return ValidationReport(tuple(_validate(doc, True, None)[0]))
+
+
+def _validate(doc: GmtDocument, structure: bool, check: Optional[Callable]) -> tuple[list[Finding], list[Finding]]:
+    """The structure findings (if ``structure``) and the findings of ``check``, from one walk.
+
+    ``check`` takes a feature and returns its ``(code, message)``, or None.
+    The walk goes in :func:`walk_elements` order and builds no paths: a frame
+    records the member it descends into, and :func:`_render` names findings.
+    """
+    findings: tuple[list[Finding], list[Finding]] = ([], [])
     seen_ids: set[str] = set()
-    for path, owner, element in walk_elements(doc):
-        if isinstance(element, Feature):
-            forms = (element.text is not None) + (element.nested is not None) + (element.target is not None)
-            if forms > 1:
-                message = f"feature '{element.cat}' carries more than one value form"
-                findings.append(Finding(ERROR, "FEATURE_MULTIPLE_VALUES", render_path(path), message))
-            elif forms == 0 or element.nested == ():
-                # An empty nested tuple carries no value either; refusing it
-                # here keeps serialization round-trippable.
-                message = f"feature '{element.cat}' carries no value"
-                findings.append(Finding(ERROR, "FEATURE_NO_VALUE", render_path(path), message))
-            if isinstance(owner, AltSet) and element.cat == CONFIDENCE_CAT:
-                value = _finite_decimal(element.text)
-                if value is None or not 0 <= value <= 1:
-                    message = f"confidence value {element.text!r} is not a decimal in [0, 1]"
-                    findings.append(Finding(ERROR, "BAD_CONFIDENCE", render_path(path), message))
-        elif isinstance(element, StructNode):
-            if element.id == "":
-                findings.append(Finding(ERROR, "EMPTY_ID", render_path(path), "node id must be non-empty"))
-            elif element.id in seen_ids:
-                findings.append(Finding(ERROR, "DUPLICATE_ID", render_path(path), f"duplicate node id '{element.id}'"))
-            elif element.id is not None:
-                seen_ids.add(element.id)
-        elif isinstance(element, AltSet):
-            if len(element.alternatives) < 2:
-                message = f"alternative set has {len(element.alternatives)} alternative(s), needs at least 2"
-                findings.append(Finding(ERROR, "SINGLETON_ALT", render_path(path), message))
-        elif isinstance(element, Relation):
-            if not element.target:
-                findings.append(Finding(ERROR, "EMPTY_TARGET", render_path(path), "relation target must be non-empty"))
-        elif isinstance(element, SegmentRef):
-            _check_seg(element, path, findings)
-    return ValidationReport(tuple(findings))
+    # Each feature's problems by id(feature), in a table of their own for the members of alternative bundles,
+    # whose confidence is checked.  The document keeps each feature alive, so no id is reused during the call.
+    plain: dict[int, tuple] = {}
+    bundled: dict[int, tuple] = {}
+    # One frame per open owner: [(index, member) iterator, members, parent frame, the owner's index among the
+    # parent's members, its <alt> offset there, feature memo, _render's state or None].
+    stack = [[enumerate((doc.root,)), (doc.root,), None, 0, 0, plain, ["", 0, {}]]]
+    while stack:
+        frame = stack[-1]
+        memo = frame[5]
+        for i, member in frame[0]:
+            kind = type(member)
+            if kind is Feature:
+                found = memo.get(id(member))
+                if found is None:
+                    found = _problems(member, memo is bundled) if structure else ()
+                    problem = check and check(member)
+                    found = memo[id(member)] = found + ((1, *problem),) if problem else found
+                inner = member.nested
+            elif kind is StructNode:
+                found = None
+                if structure and member.id is not None:
+                    if member.id == "":
+                        found = ((0, "EMPTY_ID", "node id must be non-empty"),)
+                    elif member.id in seen_ids:
+                        found = ((0, "DUPLICATE_ID", f"duplicate node id '{member.id}'"),)
+                    seen_ids.add(member.id)
+                inner = member.items + member.children
+            else:
+                # A segment with a single id is always well formed.
+                single = kind is SegmentRef and type(member.addr) is IdTargets and len(member.addr.ids) == 1
+                found = structure and not single and _problems(member, False)
+                inner = member.members if kind is Bracket else None
+            if found:
+                path = _render(frame, i)
+                for which, code, message in found:
+                    findings[which].append(Finding(ERROR, code, path, message))
+            if inner:
+                stack.append([enumerate(inner), inner, frame, i, 0, plain, [path, 0, {}] if found else None])
+                break
+            if kind is AltSet:
+                for k in range(len(member.alternatives) - 1, -1, -1):
+                    bundle = member.alternatives[k]
+                    stack.append([enumerate(bundle), bundle, frame, i, k, bundled, None])
+                break
+        else:
+            stack.pop()
+    return findings
 
 
-def _check_seg(seg: SegmentRef, path: ElementPath, findings: list[Finding]) -> None:
-    addr = seg.addr
-    if isinstance(addr, IdTargets):
-        if not addr.ids:
-            findings.append(Finding(ERROR, "EMPTY_TARGETS", render_path(path), "segment reference names no targets"))
+def _problems(element: Union[Feature, NodeItem], in_bundle: bool) -> tuple[tuple[int, str, str], ...]:
+    """``(0, code, message)`` per structure problem of a feature or item, other than a bracket or node."""
+    problems = []
+    kind = type(element)
+    if kind is Feature:
+        forms = (element.text is not None) + (element.nested is not None) + (element.target is not None)
+        if forms > 1:
+            problems.append((0, "FEATURE_MULTIPLE_VALUES", f"feature '{element.cat}' carries more than one value form"))
+        elif forms == 0 or element.nested == ():
+            # An empty nested tuple carries no value either; refusing it
+            # here keeps serialization round-trippable.
+            problems.append((0, "FEATURE_NO_VALUE", f"feature '{element.cat}' carries no value"))
+        if in_bundle and element.cat == CONFIDENCE_CAT:
+            value = _finite_decimal(element.text)
+            if value is None or not 0 <= value <= 1:
+                message = f"confidence value {element.text!r} is not a decimal in [0, 1]"
+                problems.append((0, "BAD_CONFIDENCE", message))
+    elif kind is AltSet and len(element.alternatives) < 2:
+        message = f"alternative set has {len(element.alternatives)} alternative(s), needs at least 2"
+        problems.append((0, "SINGLETON_ALT", message))
+    elif kind is Relation and not element.target:
+        problems.append((0, "EMPTY_TARGET", "relation target must be non-empty"))
+    elif kind is SegmentRef and type(element.addr) is IdTargets:
+        ids = element.addr.ids
+        if not ids:
+            problems.append((0, "EMPTY_TARGETS", "segment reference names no targets"))
         seen: set[str] = set()
-        for t in addr.ids:
+        for t in ids:
             if t in seen:
-                findings.append(Finding(ERROR, "DUPLICATE_TARGET", render_path(path), f"duplicate target '{t}'"))
-            if len(addr.ids) > 1 and (t.split() != [t] or t.startswith("#")):
-                message = f"target {t!r} cannot stand in a whitespace-separated list"
-                findings.append(Finding(ERROR, "BAD_TARGET", render_path(path), message))
+                problems.append((0, "DUPLICATE_TARGET", f"duplicate target '{t}'"))
+            if len(ids) > 1 and (t.split() != [t] or t.startswith("#")):
+                problems.append((0, "BAD_TARGET", f"target {t!r} cannot stand in a whitespace-separated list"))
             seen.add(t)
-    elif isinstance(addr, PositionalSpan):
-        if addr.start < 0 or addr.end < 0:
-            message = f"offsets must be non-negative, got {addr.start}..{addr.end}"
-            findings.append(Finding(ERROR, "NEGATIVE_OFFSET", render_path(path), message))
-        elif addr.start > addr.end:
-            message = f"span starts at {addr.start} after its end {addr.end}"
-            findings.append(Finding(ERROR, "INVERTED_SPAN", render_path(path), message))
+    elif kind is SegmentRef and type(element.addr) is PositionalSpan:
+        start, end = element.addr.start, element.addr.end
+        if start < 0 or end < 0:
+            problems.append((0, "NEGATIVE_OFFSET", f"offsets must be non-negative, got {start}..{end}"))
+        elif start > end:
+            problems.append((0, "INVERTED_SPAN", f"span starts at {start} after its end {end}"))
+    return tuple(problems)
+
+
+def _render(frame: list, index: int) -> str:
+    """The path of member ``index`` of an open frame, as :func:`render_path` spells it.
+
+    A frame's state, made at the first finding below it, is ``[its owner's
+    path, a cursor, the per-tag counts of the members before the cursor]``.
+    Findings come in document order, so each cursor only moves forward, and
+    all paths together cost time linear in the document and their length.
+    """
+    steps = [(frame, index, 0, None)]
+    while frame[6] is None:
+        steps.append((frame[2], frame[3], frame[4], frame))
+        frame = frame[2]
+    for owner, position, offset, child in reversed(steps):
+        prefix, cursor, counts = state = owner[6]
+        for member in owner[1][cursor:position]:
+            tag = _TAGS[type(member)]
+            counts[tag] = counts.get(tag, 0) + (len(member.alternatives) if tag == "alt" else 1)
+        state[1] = position
+        tag = _TAGS[type(owner[1][position])]
+        path = f"{prefix}/{tag}[{counts.get(tag, 0) + 1 + offset}]"
+        if child is not None:
+            child[6] = [path, 0, {}]
+    return path
 
 
 def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:

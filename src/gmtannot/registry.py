@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Optional, Union
 
 from .errors import RegistryError
-from .model import ERROR, Feature, Finding, GmtDocument, Record, ValidationReport, _set, render_path, walk_elements
+from .model import Feature, GmtDocument, Record, ValidationReport, _set, _validate
 
 
 class OpenText(Record):
@@ -202,20 +202,7 @@ def validate_categories(doc: GmtDocument, registry: Registry) -> ValidationRepor
     category's kind become error findings.  Structural node types are
     not checked.
     """
-    findings: list[Finding] = []
-    # _check_feature's result by id(feature), for features shared by many places.  The document keeps
-    # each feature alive, so no id is reused during the call.
-    checked: dict[int, Optional[tuple[str, str]]] = {}
-    for path, _, element in walk_elements(doc):
-        if type(element) is Feature:
-            key = id(element)
-            if key not in checked:
-                checked[key] = _check_feature(element, registry)
-            problem = checked[key]
-            if problem is not None:
-                code, message = problem
-                findings.append(Finding(ERROR, code, render_path(path), message))
-    return ValidationReport(tuple(findings))
+    return ValidationReport(tuple(_validate(doc, False, lambda feat: _check_feature(feat, registry))[1]))
 
 
 def _check_feature(feat: Feature, registry: Registry) -> Optional[tuple[str, str]]:

@@ -24,7 +24,7 @@ from gmtannot import (
     validate_structure,
 )
 from gmtannot.model import render_path, walk_elements
-from randgen import DocBuilder, deep_chain_text, random_document
+from randgen import DocBuilder, deep_chain_text, deep_feature_text, random_document
 
 DEPTH = 3000
 
@@ -81,12 +81,33 @@ def nested_alt_document() -> GmtDocument:
     return GmtDocument(StructNode(type="MSAnnot", children=(StructNode(items=(alts,)),)))
 
 
+def shared_document() -> GmtDocument:
+    """One bundle tuple, one nested-feature tuple, one bracket and one node, each at several places.
+
+    A node of it holds a three-way and a two-way alternative set apart by a
+    feature, and then a singleton set, so its ``<alt>`` positions run on
+    across sets.
+    """
+    nested = (Feature("number", "sg"), Feature("gender", "f"))
+    bracket = Bracket((Feature("agr", nested=nested), Relation(""), SegmentRef(IdTargets(("w1", "w1")))))
+    inner = StructNode(type="morph", items=(bracket, Feature("agr", nested=nested)))
+    bundle = (Feature("pos", "N"), inner, Feature("confidence", "5"))
+    word = StructNode(type="W-level", items=(
+        AltSet((bundle, (Feature("pos", "V"),), bundle)),
+        Feature("lemma", "x"),
+        AltSet((bundle, bundle)),
+        bracket,
+        AltSet(((Feature("pos", "D"),),)),
+    ))
+    return GmtDocument(StructNode(type="MSAnnot", items=(bracket,), children=(word, inner, word)))
+
+
 def documents() -> list[GmtDocument]:
     rng = random.Random(23)
     return (
         [random_document(rng) for _ in range(30)]
         + [faulty_document(rng) for _ in range(30)]
-        + [nested_alt_document()]
+        + [nested_alt_document(), shared_document()]
     )
 
 
@@ -144,11 +165,45 @@ def test_element_paths_are_distinct_and_cover_every_finding():
 
 
 def test_every_feature_gets_its_own_finding_path():
-    for doc in documents():
-        features = [e for _, _, e in walk_elements(doc) if isinstance(e, Feature)]
-        findings = validate_categories(doc, Registry({})).findings
-        assert len(findings) == len(features)
-        assert len({f.path for f in findings}) == len(findings)
+    # The validators render a path only at a finding; it must be the one walk_elements gives.
+    rng = random.Random(31)
+    docs = documents() + [random_document(rng) for _ in range(100)] + [faulty_document(rng) for _ in range(100)]
+    for doc in docs:
+        expected = [render_path(p) for p, _, e in walk_elements(doc) if type(e) is Feature]
+        assert [f.path for f in validate_categories(doc, Registry({})).findings] == expected
+
+
+def test_shared_subtrees_are_named_at_each_place():
+    doc = shared_document()
+    expected = []
+    for path, owner, e in walk_elements(doc):
+        code = (
+            "EMPTY_TARGET" if type(e) is Relation
+            else "DUPLICATE_TARGET" if type(e) is SegmentRef
+            else "SINGLETON_ALT" if type(e) is AltSet and len(e.alternatives) == 1
+            else "BAD_CONFIDENCE" if type(owner) is AltSet and e == Feature("confidence", "5")
+            else None
+        )
+        if code is not None:
+            expected.append((code, render_path(path)))
+    findings = [(f.code, f.path) for f in validate_structure(doc).findings]
+    assert findings == expected
+    assert len(findings) == 34
+    assert ("BAD_CONFIDENCE", "/struct[1]/struct[3]/alt[5]/feat[2]") in findings
+    assert ("SINGLETON_ALT", "/struct[1]/struct[1]/alt[6]") in findings
+
+
+def test_a_shared_feature_is_checked_for_the_place_it_sits_in():
+    confidence, lemma = Feature("confidence", text="5"), Feature("lemma")
+    alts = AltSet(((Feature("pos", "N"), confidence), (Feature("pos", "V"), lemma)))
+    node = StructNode(type="W-level", items=(confidence, alts, lemma, Bracket((lemma, confidence))))
+    report = validate_structure(GmtDocument(node))
+    assert [(f.code, f.path) for f in report.findings] == [
+        ("BAD_CONFIDENCE", "/struct[1]/alt[1]/feat[2]"),
+        ("FEATURE_NO_VALUE", "/struct[1]/alt[2]/feat[2]"),
+        ("FEATURE_NO_VALUE", "/struct[1]/feat[2]"),
+        ("FEATURE_NO_VALUE", "/struct[1]/brack[1]/feat[1]"),
+    ]
 
 
 def test_structure_findings_come_in_document_order():
@@ -225,6 +280,20 @@ def test_deep_chain_is_walked_validated_and_searched():
     assert validate_categories(doc, default_registry()).findings == ()
     assert collect_referenced_ids(doc) == {"leaf"}
     assert sum(1 for _ in walk_elements(doc)) == DEPTH + 4
+
+
+def test_every_feature_of_a_wide_node_is_named():
+    node = StructNode(type="W-level", items=tuple(Feature(f"u{k}", text="x") for k in range(2000)))
+    findings = validate_categories(GmtDocument(node), Registry({})).findings
+    assert [f.path for f in findings] == [f"/struct[1]/feat[{k}]" for k in range(1, 2001)]
+
+
+def test_every_level_of_a_deep_feature_is_named():
+    doc, _ = parse_gmt(deep_feature_text(DEPTH))
+    findings = validate_categories(doc, Registry({})).findings
+    assert len(findings) == DEPTH + 1
+    assert findings[-1].path == "/struct[1]/struct[1]" + "/feat[1]" * (DEPTH + 1)
+    assert findings[-1].message == "category 'g' is not in the registry"
 
 
 def test_deep_chain_serializes_to_its_canonical_text():
