@@ -18,7 +18,8 @@ per-source brackets; nodes with children fall back to keep-all).
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Optional
 
 from .errors import MergeError
 from .model import (
@@ -97,108 +98,124 @@ def anchor_key(node: StructNode) -> Optional[str]:
     A node carrying segments is keyed by them.  Any other node is keyed by
     its type and its children's keys, folded bottom-up by :func:`_scan`.
     """
-    return _summary(node)[1]
+    return _scan(node)[0][0]
 
 
-def _summary(root: StructNode) -> tuple:
-    """The last of :func:`_scan`'s results, which is ``root``'s own."""
-    for summary in _scan(root):
-        pass
-    return summary
+def _key(segs: list[SegmentRef]) -> str:
+    # Most nodes have one segment, whose key takes no sort.
+    return seg_key(segs[0]) if len(segs) == 1 else "&".join(sorted(map(seg_key, segs)))
 
 
-def _scan(root: StructNode, table: Optional[dict[tuple, int]] = None) -> Iterator[tuple]:
-    """Yield ``(node, key, mode, fingerprint, items, children)`` for ``root`` and each node below
-    it, after the elements it contains, with one explicit stack instead of recursion.
+def _scan(root: StructNode) -> tuple[tuple, list[tuple]]:
+    """``(key, mode)`` of ``root`` and the list of those of its children, from one walk with an
+    explicit stack instead of recursion, which stops at nodes with segments.
 
-    ``key`` is the :func:`anchor_key`, ``mode`` the class name of the first segment's addressing
-    (None without segments), ``items`` the node's one ``iter_items`` scan, ``children`` a
-    ``(key, mode, id)`` per child.  Without a ``table`` the walk stops at nodes with segments.
-    With one it covers bundles and nested features too, a node without segments gets no key
-    (nothing reads it), and ``fingerprint`` is the table's id of ``(type, sorted item ids, sorted
-    child ids)``, a child with segments having id -1.  Items, bundles and features get ids from
-    tuples tagged by their kind, so equal ids mean equal content up to the order of items,
-    bundles, children and nested features.  A node's own items are keyed and interned inline;
-    only bundle members and nested features go through the ``deep`` and ``member_id`` helpers.
+    ``key`` is the :func:`anchor_key` and ``mode`` the class name of the first segment's
+    addressing (None without segments).  A node without segments finishes after its children.
     """
-    if table is not None:
-        intern = table.setdefault  # intern(t, len(table)) is t's id
+    done: list[tuple] = []  # (key, mode) of each finished node, until its parent finishes
+    stack: list = [root]  # nodes to open, and (node, start of its children's results) to finish
+    children: list[tuple] = []
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, start = node
+            children = done[start:]
+            del done[start:]
+        else:
+            segs = [item for item in iter_items(node) if type(item) is SegmentRef]
+            if segs:
+                done.append((_key(segs), type(segs[0].addr).__name__))
+                continue
+            if node.children:
+                stack.append((node, len(done)))
+                stack += reversed(node.children)
+                continue
+            children = []
+        keys = sorted(k for k, _ in children if k is not None)
+        done.append((f"node:{_escape(node.type or '')}:({';'.join(keys)})" if keys else None, None))
+    return done[0], children
 
-    def deep(member: Feature | StructNode) -> bool:  # visited on its own, before its owner
-        return type(member) is StructNode or member.target is None and member.nested is not None
 
-    def member_id(member: Feature | StructNode) -> int:
+def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tuple]]:
+    """The ``(fingerprint, node)`` of each node with segments at or below ``root``, by anchor key, from one
+    walk with an explicit stack instead of recursion, which covers bundles and nested features.
+
+    A fingerprint is the ``table``'s id of ``(type, sorted item ids, sorted child ids)``, a child with segments
+    having id -1.  Items, bundles and features get ids from tuples tagged by their kind, so equal ids mean equal
+    content up to the order of items, bundles, children and nested features.  Segments get no id: only nodes
+    under one key, which spells their segments, are compared.  One loop over a node's items interns their ids;
+    a *holder* (a nested feature or alternative set) with deep members finishes after them, before its node.
+    """
+    intern = table.setdefault  # intern(t, len(table)) is t's id
+
+    def inner(holder: Feature | AltSet) -> list:  # a nested feature's or alternative set's deep members
+        members = holder.nested if type(holder) is Feature else chain(*holder.alternatives)
+        return [m for m in members if type(m) is StructNode or m.target is None and m.nested is not None]
+
+    def member_id(member: Feature | StructNode) -> int:  # a deep member's id comes from `below`
         if type(member) is Feature:
             if member.target is not None:
                 return intern(("feat", member.cat, "@", member.target), len(table))
             if member.nested is None:
                 return intern(("feat", member.cat, "", member.text or ""), len(table))
-        return next(below)[2]
+        return next(below)
 
-    done: list[tuple] = []  # (key, mode, id in its owner) of each finished element, until its owner closes
-    stack: list = [root]  # elements to open, and (element, items, segments, start of results) to close
+    def holder_id(holder: Feature | AltSet) -> int:  # no part of member_id: a closure calling itself is a cycle
+        if type(holder) is Feature:
+            return intern(("feat", holder.cat, "nested", *sorted(map(member_id, holder.nested))), len(table))
+        bundles = (intern(("bundle", *sorted(map(member_id, b))), len(table)) for b in holder.alternatives)
+        return intern(("alt", *sorted(bundles)), len(table))
+
+    found: dict[str, list[tuple]] = {}
+    done: list[int] = []  # the id in its owner of each finished element, until its owner finishes
+    stack: list = [root]  # elements to open, and (element, ids, segments, start of results) to finish
     while stack:
         element = stack.pop()
-        if type(element) is not tuple:
-            if type(element) is Feature:
-                items, segs, parts = element.nested, [], [m for m in element.nested if deep(m)]
-            else:
-                items, segs, parts = iter_items(element), [], []
-                for item in items:
-                    cls = type(item)
-                    if cls is SegmentRef:
-                        segs.append(item)
-                    elif table is None:
-                        continue
-                    elif cls is Feature:
-                        if item.target is None and item.nested is not None:  # deep(item), inline
-                            parts.append(item)
-                    elif cls is AltSet:
-                        parts += [m for bundle in item.alternatives for m in bundle if deep(m)]
-                if table is not None or not segs:
-                    parts += element.children
-            if parts:
-                stack.append((element, items, segs, len(done)))
-                stack += reversed(parts)  # the first part is finished first
-                continue
-            taken = []  # nothing below: the element closes where it opens, and reads no `below`
-        else:
-            element, items, segs, start = element
+        if type(element) is tuple:
+            element, ids, segs, start = element
             taken = done[start:]
             del done[start:]
             below = iter(taken)
-        if type(element) is Feature:
-            fingerprint = intern(("feat", element.cat, "nested", *sorted(map(member_id, items))), len(table))
-            done.append((None, None, fingerprint))
+        elif type(element) is not StructNode:  # a holder with deep members
+            stack.append((element, None, None, len(done)))
+            stack += reversed(inner(element))
             continue
-        # The children's results come after those of bundle members and nested features.
-        children = taken[len(taken) - len(element.children):] if taken else taken
-        # Most nodes have one segment, whose key takes no sort.
-        seg_keys = [seg_key(segs[0])] if len(segs) == 1 else sorted(map(seg_key, segs))
-        key: Optional[str] = "&".join(seg_keys)
-        if not segs:  # with a table, nothing reads the key of a node without segments
-            keys = sorted(k for k, _, _ in children if k is not None) if table is None else None
-            key = f"node:{_escape(element.type or '')}:({';'.join(keys)})" if keys else None
-        mode = type(segs[0].addr).__name__ if segs else None
-        fingerprint = None
-        if table is not None:
-            ids = [intern(("seg", k), len(table)) for k in seg_keys]
-            for item in items:
+        else:
+            ids, segs, holders = [], [], []
+            for item in iter_items(element):
                 cls = type(item)
-                if cls is Feature:
-                    if item.target is None and item.nested is None:  # member_id(item), inline
-                        ids.append(intern(("feat", item.cat, "", item.text or ""), len(table)))
-                    else:
-                        ids.append(member_id(item))
-                elif cls is AltSet:
-                    bundles = (intern(("bundle", *sorted(map(member_id, b))), len(table)) for b in item.alternatives)
-                    ids.append(intern(("alt", *sorted(bundles)), len(table)))
+                if cls is Feature and item.target is None and item.nested is None:  # member_id(item), inline
+                    ids.append(intern(("feat", item.cat, "", item.text or ""), len(table)))
+                elif cls is SegmentRef:
+                    segs.append(item)
                 elif cls is Relation:
                     ids.append(intern(("rel", item.rel_type or "", item.target), len(table)))
-            members = tuple(sorted([c[2] for c in children])) if children else ()
-            fingerprint = intern((element.type or "", tuple(sorted(ids)), members), len(table))
-        done.append((key, mode, -1 if segs else fingerprint))
-        yield element, key, mode, fingerprint, items, children
+                elif cls is AltSet or cls is Feature and item.target is None:
+                    if inner(item):
+                        holders.append(item)
+                    else:
+                        ids.append(holder_id(item))
+                elif cls is Feature:
+                    ids.append(member_id(item))
+            if holders or element.children:
+                stack.append((element, ids, segs, len(done)))
+                stack += reversed(element.children)
+                stack += reversed(holders)  # the holders finish first, in order, then the children
+                continue
+            taken = ()
+        if type(element) is not StructNode:
+            done.append(holder_id(element))
+            continue
+        children = ()
+        if taken:  # the holders' ids, then the children's
+            ids += taken[:len(taken) - len(element.children)]
+            children = tuple(sorted(taken[len(taken) - len(element.children):]))
+        fingerprint = intern((element.type or "", tuple(sorted(ids)), children), len(table))
+        if segs:
+            found.setdefault(_key(segs), []).append((fingerprint, element))
+        done.append(-1 if segs else fingerprint)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +245,11 @@ def merge(
         if doc.doc_type != doc_type:
             raise MergeError(f"mixed document types: {doc_type!r} and {doc.doc_type!r}")
     roots = [doc.root for doc in docs]
-    tops = [_summary(root) for root in roots]  # each with its children's
-    if any(top[2] for top in tops):
+    tops = [_scan(root) for root in roots]  # each root's (key, mode) with its children's
+    if any(top[0][1] for top in tops):
         # The roots are annotation nodes themselves: align them like any
         # other anchor group rather than treating them as containers.
-        merged = _merge_level(roots, [top[1:4] for top in tops], policy, warnings)
+        merged = _merge_level(roots, [top[0] for top in tops], policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
@@ -241,7 +258,7 @@ def merge(
         if policy.on_parallel == KEEP_ALL or root.items not in item_lists:
             item_lists.append(root.items)
     children = [child for root in roots for child in root.children]
-    children = _merge_level(children, [summary for top in tops for summary in top[5]], policy, warnings)
+    children = _merge_level(children, [summary for top in tops for summary in top[1]], policy, warnings)
     items = tuple([item for root_items in item_lists for item in root_items])
     first = roots[0]
     return GmtDocument(StructNode(type=first.type, id=first.id, ref=first.ref, items=items, children=tuple(children)))
@@ -250,12 +267,12 @@ def merge(
 def _merge_level(
     nodes: list[StructNode], summaries: list[tuple], policy: MergePolicy, warnings: list[str]
 ) -> list[StructNode]:
-    """Group nodes by the key of their ``(key, mode, id)`` summaries from :func:`_scan` and merge each group."""
+    """Group nodes by the key of their ``(key, mode)`` summaries from :func:`_scan` and merge each group."""
     # Each key's nodes and their addressing modes, in first-occurrence order.  A node without a key
     # is a group of one, keyed by its position, which _merge_group passes through.  A segless key's
     # mode is None, and its key starts with "node:", so None never mixes with a real mode.
     groups: dict[str | int, tuple[list[StructNode], set[Optional[str]]]] = {}
-    for position, (node, (key, mode, _)) in enumerate(zip(nodes, summaries)):
+    for position, (node, (key, mode)) in enumerate(zip(nodes, summaries)):
         if key is None:
             warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
             groups[position] = ([node], {None})
@@ -363,40 +380,35 @@ def diff(left: GmtDocument, right: GmtDocument) -> DiffReport:
     Every node carrying a segment reference, at any depth, lands in
     exactly one entry keyed by its anchor.  Items, bundles, children and
     nested features are compared as multisets; anchored descendants are
-    judged in their own entries.  One :func:`_scan` per document gives every
+    judged in their own entries.  One :func:`_fingerprint` per document gives every
     node its key and an exact fingerprint from a table both documents share.
     """
     table: dict[tuple, int] = {}
-    left_nodes, right_nodes = (_anchored_nodes(doc, table) for doc in (left, right))
+    left_nodes, right_nodes = (_fingerprint(doc.root, table) for doc in (left, right))
     entries = []
-    for key in sorted(set(left_nodes) | set(right_nodes)):
-        lhs, rhs = left_nodes.get(key, []), right_nodes.get(key, [])
-        if not rhs:
+    for key in sorted(left_nodes.keys() | right_nodes.keys()):
+        lhs, rhs = left_nodes.get(key), right_nodes.get(key)
+        if rhs is None:
             entries.append(DiffEntry(key, ONLY_LEFT, _describe(lhs)))
-        elif not lhs:
+        elif lhs is None:
             entries.append(DiffEntry(key, ONLY_RIGHT, _describe(rhs)))
-        elif sorted(fp for _, fp, _ in lhs) == sorted(fp for _, fp, _ in rhs):
+        # Most keys hold one node a side, whose fingerprints need no sort.
+        elif lhs[0][0] == rhs[0][0] if len(lhs) == 1 == len(rhs) else sorted(f for f, _ in lhs) == sorted(f for f, _ in rhs):
             entries.append(DiffEntry(key, BOTH_EQUAL, ""))
         else:
             entries.append(DiffEntry(key, BOTH_DIFFER, _feature_delta(lhs, rhs)))
     return DiffReport(tuple(entries))
 
 
-def _anchored_nodes(doc: GmtDocument, table: dict[tuple, int]) -> dict[str, list[tuple]]:
-    """Every anchored node's ``(node, fingerprint, items)``, by anchor key."""
-    found: dict[str, list[tuple]] = {}
-    for node, key, mode, fingerprint, items, _ in _scan(doc.root, table):
-        if mode is not None:
-            found.setdefault(key, []).append((node, fingerprint, items))
-    return found
-
-
 def _own_features(nodes: list[tuple]) -> dict[tuple[str, str], int]:
+    """How often each ``(category, text)`` occurs among the nodes' items and bracket members."""
     counts: dict[tuple[str, str], int] = {}
-    for _, _, items in nodes:
-        for item in items:
-            if isinstance(item, Feature) and item.text is not None:
-                counts[item.cat, item.text] = counts.get((item.cat, item.text), 0) + 1
+    items = [item for _, node in nodes for item in node.items]
+    for item in items:  # a bracket's members join the end: the order does not matter to a count
+        if isinstance(item, Bracket):
+            items += item.members
+        elif isinstance(item, Feature) and item.text is not None:
+            counts[item.cat, item.text] = counts.get((item.cat, item.text), 0) + 1
     return counts
 
 
@@ -423,4 +435,4 @@ def _feature_delta(lhs: list[tuple], rhs: list[tuple]) -> str:
 
 
 def _describe(nodes: list[tuple]) -> str:
-    return f"{len(nodes)} node(s) of type {', '.join(sorted({n.type or '' for n, _, _ in nodes}))}"
+    return f"{len(nodes)} node(s) of type {', '.join(sorted({n.type or '' for _, n in nodes}))}"

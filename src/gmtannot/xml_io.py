@@ -452,6 +452,13 @@ def _content(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
 
 
+class _Quoted(dict):
+    """Attribute values and their quoted forms: ``quoted[value]`` calls :func:`_attr` once per value."""
+
+    def __missing__(self, value: str) -> str:
+        return self.setdefault(value, _attr(value))
+
+
 def serialize_gmt(doc: GmtDocument) -> str:
     """Write a document in canonical GMT XML.
 
@@ -460,9 +467,11 @@ def serialize_gmt(doc: GmtDocument) -> str:
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     seen_ids: set[str] = set()
-    # A text feature's line without its indent, by id(feature): the reader shares equal leaves and merges
-    # reuse their inputs' features.  The document keeps each feature alive, so no id is reused meanwhile.
-    text_lines: dict[int, str] = {}
+    quoted = _Quoted()
+    # A text feature's line without its indent, by (category, text): equal features of separately read layers
+    # are distinct objects, and a key by value costs no more than one by id(feature).
+    text_lines: dict[tuple[str, str], str] = {}
+    confidences: set[str] = set()  # the bundle confidence texts found to be decimals in [0, 1]
     # A frame: the values to write, their indentation, the closing line of their element (None
     # for an alternative set, whose bundles are the elements) and whether they form a bundle.
     stack: list[tuple[Iterator, str, Optional[str], bool]] = [(iter((doc.root,)), "", None, False)]
@@ -471,54 +480,56 @@ def serialize_gmt(doc: GmtDocument) -> str:
         for value in values:
             cls = type(value)
             if cls is Feature:
-                if in_bundle and value.cat == CONFIDENCE_CAT:
+                if in_bundle and value.cat == CONFIDENCE_CAT and value.text not in confidences:
                     confidence = _finite_decimal(value.text)
                     if confidence is None or not 0 <= confidence <= 1:
                         _refuse(doc)
+                    confidences.add(value.text)
                 if value.target is not None:
                     if value.text is not None or value.nested is not None:
                         _refuse(doc)
-                    lines.append(f"{pad}<feat type={_attr(value.cat)} target={_attr('#' + value.target)}/>")
+                    lines.append(f"{pad}<feat type={quoted[value.cat]} target={quoted['#' + value.target]}/>")
                     continue
                 if value.nested is None:
                     if value.text is None:
                         _refuse(doc)
-                    key = id(value)
-                    line = text_lines.get(key)
+                    line = text_lines.get((value.cat, value.text))
                     if line is None:
-                        line = text_lines[key] = f"<feat type={_attr(value.cat)}>{_content(value.text)}</feat>"
+                        line = text_lines[value.cat, value.text] = f"<feat type={quoted[value.cat]}>{_content(value.text)}</feat>"
                     lines.append(pad + line)
                     continue
                 if value.text is not None or not value.nested:
                     _refuse(doc)
-                tag, attrs, content = "feat", f" type={_attr(value.cat)}", value.nested
+                tag, attrs, content = "feat", f" type={quoted[value.cat]}", value.nested
             elif cls is StructNode:
-                attrs = f" type={_attr(value.type)}" if value.type is not None else ""
+                attrs = f" type={quoted[value.type]}" if value.type is not None else ""
                 if value.id is not None:
                     if not value.id or value.id in seen_ids:
                         _refuse(doc)
                     seen_ids.add(value.id)
-                    attrs += f" id={_attr(value.id)}"
+                    attrs += f" id={quoted[value.id]}"
                 if value.ref is not None:
-                    attrs += f" ref={_attr('#' + value.ref)}"
+                    attrs += f" ref={quoted['#' + value.ref]}"
                 tag, content = "struct", value.items + value.children
             elif cls is SegmentRef:
                 addr = value.addr
                 mode = type(addr)
-                if mode is IdTargets and len(addr.ids) == 1:  # the most common shape
-                    lines.append(f"{pad}<seg target={_attr('#' + addr.ids[0])}/>")
+                if mode is IdTargets and len(addr.ids) == 1:  # the most common shape, mostly with nothing to escape
+                    target = addr.ids[0]
+                    quote = f'"#{target}"' if _ATTR_SPECIALS.isdisjoint(target) else quoted["#" + target]
+                    lines.append(f"{pad}<seg target={quote}/>")
                 elif mode is IdTargets:
                     ids = addr.ids
                     if not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
                         _refuse(doc)
-                    lines.append(f"{pad}<seg targets={_attr(' '.join(ids))}/>")
+                    lines.append(f"{pad}<seg targets={quoted[' '.join(ids)]}/>")
                 elif mode is PositionalSpan:
                     if not 0 <= addr.start <= addr.end:
                         _refuse(doc)
-                    lines.append(f"{pad}<seg startsAt={_attr(str(addr.start))} endsAt={_attr(str(addr.end))}/>")
+                    lines.append(f"{pad}<seg startsAt={quoted[str(addr.start)]} endsAt={quoted[str(addr.end)]}/>")
                 else:
-                    lines.append(f"{pad}<startsAt target={_attr('#' + addr.start)}/>")
-                    lines.append(f"{pad}<endsAt target={_attr('#' + addr.end)}/>")
+                    lines.append(f"{pad}<startsAt target={quoted['#' + addr.start]}/>")
+                    lines.append(f"{pad}<endsAt target={quoted['#' + addr.end]}/>")
                 continue
             elif cls is AltSet:
                 if len(value.alternatives) < 2:
@@ -530,8 +541,8 @@ def serialize_gmt(doc: GmtDocument) -> str:
             elif cls is Relation:
                 if not value.target:
                     _refuse(doc)
-                type_part = f" type={_attr(value.rel_type)}" if value.rel_type is not None else ""
-                lines.append(f"{pad}<rel{type_part} target={_attr('#' + value.target)}/>")
+                type_part = f" type={quoted[value.rel_type]}" if value.rel_type is not None else ""
+                lines.append(f"{pad}<rel{type_part} target={quoted['#' + value.target]}/>")
                 continue
             else:
                 tag, attrs, content = "brack", "", value.members

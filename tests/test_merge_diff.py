@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import random
@@ -21,6 +22,7 @@ from gmtannot import (
     FOLD_TO_ALT,
     Feature,
     GmtDocument,
+    GmtSerializeError,
     IdTargets,
     KEEP_ALL,
     LandmarkEndpoints,
@@ -38,7 +40,7 @@ from gmtannot import (
     parse_gmt,
     serialize_gmt,
 )
-from gmtannot.merge import POLICIES, DiffEntry, _scan, seg_key
+from gmtannot.merge import POLICIES, DiffEntry, _fingerprint, _scan, seg_key
 from gmtannot.model import iter_items, replace
 from conftest import load_fixture
 from randgen import deep_chain_text, deep_feature_text, deep_segless_text, random_document, random_mergeable_document
@@ -605,13 +607,41 @@ def test_diff_and_merge_scan_each_node_once(monkeypatch):
             assert {id(child) for doc in (left, right) for child in doc.root.children} <= set(scans)
 
 
-def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments():
+def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments(monkeypatch):
     # Keys folded from children's keys grow with the square of the depth;
-    # diff reads only the keys of nodes with segments.
+    # diff reads only the keys of nodes with segments.  Spelling a node's
+    # folded key escapes its type, so no escape means no such key was built.
+    merge_module = importlib.import_module("gmtannot.merge")
+    escaped: list[str] = []
+    monkeypatch.setattr(merge_module, "_escape", lambda text: escaped.append(text) or text)
     doc, _ = parse_gmt(deep_chain_text(3000))
-    keys = [key for _, key, *_ in _scan(doc.root, {}) if key is not None]
-    assert keys == ["span:0-1"]
-    assert sum(map(len, keys)) < 100
+    found = _fingerprint(doc.root, {})
+    assert escaped == []
+    assert list(found) == ["span:0-1"] and [node.id for _, node in found["span:0-1"]] == ["leaf"]
+    assert sum(map(len, found)) < 100
+    # The merge's scan folds the same chain's key up to the root, escaping each segless node's type once.
+    assert _scan(doc.root)[0][0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
+
+
+def test_diff_merge_and_write_leave_no_cyclic_garbage():
+    # Each call's tables die with the call, by reference counting: a closure that reached
+    # itself would keep a diff's whole intern table alive until the cyclic collector ran.
+    rng = random.Random(29)
+    pairs = [(random_document(rng), random_document(rng)) for _ in range(20)]
+    pairs += [(random_mergeable_document(rng), random_mergeable_document(rng, id_prefix="m")) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for left, right in pairs:
+            diff(left, right)
+            for policy in POLICIES:
+                try:
+                    serialize_gmt(merge([left, right], MergePolicy(policy)))
+                except GmtSerializeError:
+                    pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

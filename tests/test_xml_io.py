@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 import weakref
+from collections import Counter
 from typing import Optional
 
 import pytest
@@ -23,6 +25,7 @@ from gmtannot import (
     SegmentRef,
     StructNode,
     FOLD_TO_ALT,
+    KEEP_ALL,
     MergePolicy,
     default_registry,
     merge,
@@ -33,7 +36,7 @@ from gmtannot import (
 )
 from gmtannot.model import replace, walk_elements
 from conftest import FIXTURES, load_fixture
-from randgen import deep_feature_text, random_document, random_markup
+from randgen import deep_feature_text, random_document, random_markup, random_mergeable_document
 
 
 # ---------------------------------------------------------------------------
@@ -841,3 +844,24 @@ def test_a_fold_alt_filler_shared_by_its_bundles_writes_the_bytes_of_distinct_on
         for node in merged.root.children)))
     assert distinct == merged
     assert serialize_gmt(distinct) == serialize_gmt(merged)
+
+
+def test_the_writer_quotes_each_distinct_attribute_value_once_per_call(monkeypatch):
+    # Layers read separately share no feature objects, so only a table keyed by value can save the
+    # quoting of their equal categories, types and targets.
+    xml_io = importlib.import_module("gmtannot.xml_io")
+    quote = xml_io._attr
+    calls: Counter = Counter()
+    monkeypatch.setattr(xml_io, "_attr", lambda value: calls.update([value]) or quote(value))
+    rng = random.Random(18)
+    written = repeated = 0
+    for _ in range(60):
+        layers = [parse_gmt(serialize_gmt(random_mergeable_document(rng, id_prefix=p)))[0] for p in "ab"]
+        for policy in (KEEP_ALL, FOLD_TO_ALT):
+            calls.clear()
+            text = serialize_gmt(merge(layers, MergePolicy(policy)))
+            assert max(calls.values()) == 1
+            assert text.count('="') > len(calls)  # some attribute value was written more than once
+            written += 1
+            repeated += text.count('="') - len(calls)
+    assert written == 120 and repeated > 1000
