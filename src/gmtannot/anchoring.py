@@ -15,6 +15,7 @@ and character units.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedTargetError
@@ -27,11 +28,10 @@ from .model import (
     Record,
     SegmentRef,
     StructNode,
+    _nodes,
     _set,
     find_node,
     iter_items,
-    render_path,
-    walk_elements,
 )
 
 #: Source marker for spans located directly in the primary data.
@@ -128,30 +128,35 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
     integer, is an error.
     """
     table: LandmarkTable = {}
-    for path, _, node in walk_elements(doc):
-        if type(node) is not StructNode or node.type != LANDMARK_TYPE:
+    for count, node in enumerate(_nodes(doc), 1):
+        if node.type != LANDMARK_TYPE:
             continue
         if node.id is None:
-            raise AnchorError(f"landmark at {render_path(path)} has no id")
+            raise AnchorError(f"landmark at {_node_path(doc, count)} has no id")
         position = None
         for item in iter_items(node):
             if isinstance(item, Feature) and item.cat == POSITION_CAT and item.text is not None:
                 position = item.text.strip()
                 break
         if position is None:
-            raise AnchorError(f"landmark '{node.id}' at {render_path(path)} has no position feature")
+            raise AnchorError(f"landmark '{node.id}' at {_node_path(doc, count)} has no position feature")
         try:
             value = int(position)
         except ValueError:
             raise AnchorError(
-                f"landmark '{node.id}' at {render_path(path)}: position {position!r} is not an integer"
+                f"landmark '{node.id}' at {_node_path(doc, count)}: position {position!r} is not an integer"
             ) from None
         if value < 0:
-            raise AnchorError(f"landmark '{node.id}' at {render_path(path)}: position must be non-negative")
+            raise AnchorError(f"landmark '{node.id}' at {_node_path(doc, count)}: position must be non-negative")
         if node.id in table:
-            raise AnchorError(f"duplicate landmark id '{node.id}' at {render_path(path)}")
+            raise AnchorError(f"duplicate landmark id '{node.id}' at {_node_path(doc, count)}")
         table[node.id] = value
     return table
+
+
+def _node_path(doc: GmtDocument, count: int) -> str:
+    """The path of the ``count``-th node of :meth:`GmtDocument.walk`, rendered only for an error."""
+    return next(islice(doc.walk(), count - 1, None))[0]
 
 
 class ResolvedSpan(Record):

@@ -285,6 +285,20 @@ def walk_elements(doc: GmtDocument) -> Iterator[tuple[ElementPath, Owner, Elemen
 _TAGS = {StructNode: "struct", Feature: "feat", Relation: "rel", SegmentRef: "seg", Bracket: "brack", AltSet: "alt"}
 
 
+def _nodes(doc: GmtDocument) -> Iterator[StructNode]:
+    """Every node in :func:`walk_elements` order, without paths: the count-th is :meth:`GmtDocument.walk`'s."""
+    stack: list = [doc.root]
+    while stack:
+        element = stack.pop()
+        kind = type(element)
+        if kind is StructNode:
+            yield element
+            stack += reversed(element.items + element.children)
+        elif kind is AltSet or kind is Bracket or kind is Feature and element.nested:
+            stack += reversed(element.nested if kind is Feature else element.members if kind is Bracket
+                              else [member for bundle in element.alternatives for member in bundle])
+
+
 def render_path(path: ElementPath) -> str:
     """The XPath-like string form of a path, such as ``/struct[1]/alt[2]/feat[1]``."""
     parts = []
@@ -486,9 +500,8 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
         index = doc._node_index
     except AttributeError:
         index = {}
-        for _, _, element in walk_elements(doc):
-            if isinstance(element, StructNode):
-                index.setdefault(element.id, element)
+        for node in _nodes(doc):
+            index.setdefault(node.id, node)
         _set(doc, "_node_index", index)
     return index.get(node_id)
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gmtannot import (
+    AltSet,
     AnchorError,
     Bracket,
     Feature,
@@ -159,6 +160,19 @@ def test_landmark_errors_inside_an_alternative_name_the_walk_path(attrs, positio
     with pytest.raises(AnchorError) as exc:
         build_landmark_table(doc)
     assert str(exc.value) == message
+
+
+def test_a_landmark_shared_at_several_places_is_named_at_the_place_that_fails():
+    # One node object at three places: the table meets it again at the second, and names that place.
+    lm = StructNode(type="landmark", id="a", items=(Feature(cat="position", text="1"),))
+    alts = AltSet(((lm,), (Feature(cat="pos", text="x"),)))
+    group = StructNode(type="group", items=(Bracket((Feature(cat="note", text="n"),)), alts), children=(lm,))
+    doc = GmtDocument(StructNode(type="landmarkDesc", children=(lm, group)))
+    paths = [path for path, node in doc.walk() if node is lm]
+    assert paths == ["/struct[1]/struct[1]", "/struct[1]/struct[2]/alt[1]/struct[1]", "/struct[1]/struct[2]/struct[1]"]
+    with pytest.raises(AnchorError) as exc:
+        build_landmark_table(doc)
+    assert str(exc.value) == f"duplicate landmark id 'a' at {paths[1]}"
 
 
 # ---------------------------------------------------------------------------
