@@ -2,7 +2,8 @@
 
 Three anchoring mechanisms are supported:
 
-* temporal: explicit start/end offsets resolve to themselves;
+* temporal: explicit start/end offsets resolve to themselves, and a start
+  after its end is refused as an inverted span;
 * event-based: landmark identifiers resolve through a landmark table
   built from a landmark description document;
 * object-based: identifier targets resolve either to token spans of the
@@ -185,8 +186,8 @@ def _span(
 ) -> Optional[tuple[int, int]]:
     """``(start, end)`` of an addressing in the primary data, or None when only a layer could resolve its ids.
 
-    Raises what :func:`resolve_seg` raises for landmarks and for a
-    reference that names no targets.
+    Raises what :func:`resolve_seg` raises for an inverted span, for
+    landmarks and for a reference that names no targets.
     """
     cls = type(addr)
     if cls is IdTargets:
@@ -205,6 +206,8 @@ def _span(
         _, starts, ends = zip(*found)
         return min(starts), max(ends)
     if cls is PositionalSpan:
+        if addr.start > addr.end:
+            raise InvertedSpanError(f"span starts at {addr.start} after its end {addr.end}")
         return addr.start, addr.end
     if landmarks is None:
         raise UnresolvedTargetError(addr.start, "no landmark table supplied")
@@ -228,7 +231,9 @@ def resolve_seg(
     """Resolve one segment reference against the supplied context.
 
     Positional spans resolve to themselves.  Landmark endpoints are
-    looked up in the landmark table.  Identifier targets must resolve
+    looked up in the landmark table.  A span, positional or through
+    landmarks, whose start lies after its end raises
+    :class:`InvertedSpanError`.  Identifier targets must resolve
     entirely within one context: the token index first, then each layer
     document in turn; token matches yield the covering span (min start,
     max end), layer matches yield the target node list.  Layer lookups go

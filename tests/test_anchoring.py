@@ -28,6 +28,7 @@ from gmtannot import (
     parse_gmt,
     resolve_seg,
     tokenize_whitespace,
+    validate_structure,
 )
 from gmtannot import model
 from conftest import load_fixture
@@ -205,6 +206,29 @@ def test_resolve_landmarks():
 def test_resolve_inverted_landmarks():
     with pytest.raises(InvertedSpanError):
         resolve_seg(SegmentRef(LandmarkEndpoints("b", "a")), landmarks={"a": 1, "b": 5})
+
+
+def test_resolve_refuses_an_inverted_positional_span_in_the_validators_words():
+    seg = SegmentRef(PositionalSpan(5, 2))
+    with pytest.raises(InvertedSpanError) as exc:
+        resolve_seg(seg)
+    findings = validate_structure(GmtDocument(StructNode(type="W-level", items=(seg,)))).findings
+    assert [(f.code, f.message) for f in findings] == [("INVERTED_SPAN", str(exc.value))]
+    assert str(exc.value) == "span starts at 5 after its end 2"
+    empty = resolve_seg(SegmentRef(PositionalSpan(4, 4)))  # an empty span is no inverted one
+    assert (empty.layer, empty.start, empty.end) == ("primary", 4, 4)
+
+
+def test_derived_extent_raises_or_skips_an_inverted_positional_span():
+    node = StructNode(
+        items=(SegmentRef(PositionalSpan(5, 2)),),
+        children=(StructNode(items=(SegmentRef(PositionalSpan(3, 8)),)),),
+    )
+    with pytest.raises(InvertedSpanError, match="^span starts at 5 after its end 2$"):
+        derived_extent(node)
+    warnings: list[str] = []
+    assert derived_extent(node, strict=False, warnings=warnings) == (3, 8)
+    assert warnings == ["span starts at 5 after its end 2"]
 
 
 def test_resolve_object_based():

@@ -245,6 +245,20 @@ def test_resolve_lenient_skips_bad_target(tmp_path, capsys):
     assert "zz" in captured.err
 
 
+def test_resolve_refuses_an_inverted_positional_span_unless_lenient(tmp_path, capsys):
+    doc = tmp_path / "inverted.xml"
+    doc.write_text(
+        '<struct type="x">'
+        '<struct><seg startsAt="5" endsAt="2"/></struct><struct><seg startsAt="1" endsAt="2"/></struct>'
+        "</struct>"
+    )
+    for flags, status in (([], 1), (["--lenient"], 0)):
+        assert main(["resolve", str(doc), *flags]) == status
+        captured = capsys.readouterr()
+        assert captured.out == "/struct[1]/struct[2]\t1\t2\n"
+        assert captured.err == f"{doc}: /struct[1]/struct[1]: span starts at 5 after its end 2\n"
+
+
 def test_resolve_missing_context_file(capsys):
     assert main(["resolve", SENTENCE_XML, "--tokens", "/no/such/tokens.tab"]) == 2
 
