@@ -16,7 +16,6 @@ and character units.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedTargetError
@@ -157,7 +156,7 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
 
 def _node_path(doc: GmtDocument, count: int) -> str:
     """The path of the ``count``-th node of :meth:`GmtDocument.walk`, rendered only for an error."""
-    return next(islice(doc.walk(), count - 1, None))[0]
+    return [path for path, _ in doc.walk()][count - 1]
 
 
 class ResolvedSpan(Record):

@@ -18,7 +18,6 @@ per-source brackets; nodes with children fall back to keep-all).
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import chain
 from typing import Optional
 
 from .errors import MergeError
@@ -150,7 +149,7 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
     intern = table.setdefault  # intern(t, len(table)) is t's id
 
     def inner(holder: Feature | AltSet) -> list:  # a nested feature's or alternative set's deep members
-        members = holder.nested if type(holder) is Feature else chain(*holder.alternatives)
+        members = holder.nested if type(holder) is Feature else [m for bundle in holder.alternatives for m in bundle]
         return [m for m in members if type(m) is StructNode or m.target is None and m.nested is not None]
 
     def member_id(member: Feature | StructNode) -> int:  # a deep member's id comes from `below`
@@ -161,7 +160,7 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
                 return intern(("feat", member.cat, "", member.text or ""), len(table))
         return next(below)
 
-    def holder_id(holder: Feature | AltSet) -> int:  # no part of member_id: a closure calling itself is a cycle
+    def holder_id(holder: Feature | AltSet) -> int:  # kept out of member_id: a closure that calls itself is a cycle
         if type(holder) is Feature:
             return intern(("feat", holder.cat, "nested", *sorted(map(member_id, holder.nested))), len(table))
         bundles = (intern(("bundle", *sorted(map(member_id, b))), len(table)) for b in holder.alternatives)
