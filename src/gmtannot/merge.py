@@ -105,12 +105,13 @@ def _key(segs: list[SegmentRef]) -> str:
     return seg_key(segs[0]) if len(segs) == 1 else "&".join(sorted(map(seg_key, segs)))
 
 
-def _scan(root: StructNode) -> tuple[tuple, list[tuple]]:
+def _scan(root: StructNode, fold_root: bool = True) -> tuple[Optional[tuple], list[tuple]]:
     """``(key, mode)`` of ``root`` and the list of those of its children, from one walk with an
     explicit stack instead of recursion, which stops at nodes with segments.
 
     ``key`` is the :func:`anchor_key` and ``mode`` the class name of the first segment's
-    addressing (None without segments).  A node without segments finishes after its children.
+    addressing (None without segments).  A node without segments finishes after its children;
+    without ``fold_root``, a root without segments does not, and its ``(key, mode)`` is None.
     """
     done: list[tuple] = []  # (key, mode) of each finished node, until its parent finishes
     stack: list = [root]  # nodes to open, and (node, start of its children's results) to finish
@@ -131,6 +132,8 @@ def _scan(root: StructNode) -> tuple[tuple, list[tuple]]:
                 stack += reversed(node.children)
                 continue
             children = []
+        if not stack and not fold_root:  # the root, whose finish is the last
+            return None, children
         keys = sorted(k for k, _ in children if k is not None)
         done.append((f"node:{_escape(node.type or '')}:({';'.join(keys)})" if keys else None, None))
     return done[0], children
@@ -244,11 +247,12 @@ def merge(
         if doc.doc_type != doc_type:
             raise MergeError(f"mixed document types: {doc_type!r} and {doc.doc_type!r}")
     roots = [doc.root for doc in docs]
-    tops = [_scan(root) for root in roots]  # each root's (key, mode) with its children's
-    if any(top[0][1] for top in tops):
-        # The roots are annotation nodes themselves: align them like any
-        # other anchor group rather than treating them as containers.
-        merged = _merge_level(roots, [top[0] for top in tops], policy, warnings)
+    tops = [_scan(root, fold_root=False) for root in roots]  # each root's (key, mode) or None, with its children's
+    if any(top[0] for top in tops):
+        # The roots are annotation nodes themselves: align them like any other anchor group rather
+        # than treating them as containers.  Only here does a root without segments need its key.
+        summaries = [top or _scan(root)[0] for root, (top, _) in zip(roots, tops)]
+        merged = _merge_level(roots, summaries, policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))

@@ -30,7 +30,10 @@ reference counting as soon as its caller drops it, without waiting for
 the cyclic collector.  Within one document, equal leaf features (same
 category, same text, no nested value) are one shared object; the model
 is immutable, so ``==``, paths and the writer cannot tell.  Leaf
-elements are read without a frame until a child arrives (see ``_Frame``).
+elements are read without a frame until a child arrives, and a <struct>
+keeps its child nodes apart from its other members (see ``_Frame``).
+Frames and warnings hold UTF-8 byte indices while the parse runs; one
+pass after it turns the warnings' indices into lines and columns.
 
 The writer checks each element as it writes it, and reports the first
 ``validate_structure`` error of a document it refuses.  Serialization is
@@ -86,92 +89,119 @@ class ParseDiagnostics(NamedTuple):
 # ---------------------------------------------------------------------------
 # parsing
 
-# A frame is one open element: a list [tag, row, attrs, pos, members, text,
-# last], where ``members`` holds what the children's closers built, in
-# document order: features, items, nodes, open <alt> runs (lists of bundles)
-# and <startsAt>/<endsAt> marks ``(tag, target, pos)`` waiting to be paired.
-# A <seg>'s first member is its own reference.  ``text`` is the element's
-# text so far and ``last`` the tag of its last closed child (None for none).
-# Once it has a child, only whether its text is blank matters, so blank text
-# between children is dropped.  A <feat> with only ``type``, and a <seg> with
-# only ``target`` in a <struct> or <brack>, is a pending leaf with no frame
-# until a child's start tag gives it one, at its own position.
+# A frame is one open element: a list [tag, row, attrs, at, members, text,
+# last, nodes].  ``at`` is the UTF-8 byte index of its start tag.  ``members``
+# holds what the children's closers built, in document order: features,
+# items, open <alt> runs (lists of bundles) and <startsAt>/<endsAt> marks
+# ``(tag, target, at)`` waiting to be paired; a <seg>'s first member is its
+# own reference.  ``nodes`` takes the child nodes: a <struct> keeps them apart
+# until a run, a mark or lifted content moves them to the front of its
+# members (``_unsorted``); in any other frame it is ``members`` itself.
+# ``text`` is the element's text so far and ``last`` the tag of its last
+# closed child (None for none).  Once it has a child, only whether its text is
+# blank matters, so blank text between children is dropped.  A <feat> with
+# only ``type``, and a <seg> with only ``target`` in a <struct> or <brack>, is
+# a pending leaf with no frame until a child's start tag gives it one.
 _Frame = list
 
 
 class _GmtBuilder:
     def __init__(self) -> None:
         # The bottom frame holds the document element.
-        self.stack: list[_Frame] = [["", _ROOT, {}, (0, 0), [], "", None]]
-        self.warnings: list[ParseWarning] = []
+        top: list = []
+        self.stack: list[_Frame] = [["", _ROOT, {}, 0, top, "", None, top]]
+        self.warnings: list[tuple[int, str]] = []  # (byte index, message), placed by parse() at the end
         self.skip_depth = 0
-        # The open leaf that has no frame: (tag, category or SegmentRef, attrs, pos), or None.
-        self.pending: Optional[tuple[str, object, dict[str, str], tuple[int, int]]] = None
+        # The open leaf that has no frame: (tag, category or SegmentRef, attrs, at), or None.
+        self.pending: Optional[tuple[str, object, dict[str, str], int]] = None
         self.leaves: dict[tuple[str, str], Feature] = {}  # equal text features, shared
         # expat appends each run of text here; the next tag hands it to the open element.
         self.chunks: list[str] = []
         self.parser = expat.ParserCreate()
         self.parser.buffer_text = True
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
+        self.parser.StartElementHandler, self.parser.EndElementHandler = self._handlers()
         self.parser.CharacterDataHandler = self.chunks.append
         self.parser.ExternalEntityRefHandler = self._external_entity
         self.parser.SkippedEntityHandler = self._skipped_entity
 
     # -- position helpers
 
-    def _pos(self) -> tuple[int, int]:
-        return self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1
-
-    def _warn(self, message: str, pos: Optional[tuple[int, int]] = None) -> None:
-        line, column = pos if pos is not None else self._pos()
-        self.warnings.append(ParseWarning(line, column, message))
+    def _warn(self, message: str, at: Optional[int] = None) -> None:
+        self.warnings.append((self.parser.CurrentByteIndex if at is None else at, message))
 
     def _fail(self, message: str) -> NoReturn:
-        line, column = self._pos()
-        raise GmtParseError(message, line, column)
+        raise GmtParseError(message, self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1)
 
     # -- expat handlers
 
-    def _start(self, tag: str, attrs: dict[str, str]) -> None:
-        if self.skip_depth:  # the skipped element's end tag drops its text
-            self.skip_depth += 1
-            return
-        if self.pending is not None:  # the pending leaf has a child after all
-            self._open_pending()
-        chunks = self.chunks
-        parent = self.stack[-1]
-        if chunks:
-            text = "".join(chunks)
-            chunks.clear()
-            if parent[6] is None or text.strip():
-                parent[5] += text
-        row = parent[1].contains.get(tag) or self._other(tag, parent)
-        if row is None:
-            return
-        parser = self.parser
-        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-        if len(attrs) == 1:
-            if tag == "feat" and "type" in attrs:
-                self.pending = (tag, attrs["type"], attrs, pos)
-                return
-            if tag == "seg" and "target" in attrs and parent[0] in ("struct", "brack"):
-                self.pending = (tag, SegmentRef(IdTargets((attrs["target"].removeprefix("#"),))), attrs, pos)
-                return
-        frame = [tag, row, attrs, pos, [], "", None]
-        if row.attrs is not None and not row.attrs.issuperset(attrs):
-            for name in attrs:
-                if name not in row.attrs:
-                    self._warn(f"unknown attribute '{name}' on <{tag}>; ignored", pos)
-        if tag == "seg":
-            frame[4].append(self._read_seg(attrs, pos))
-        self.stack.append(frame)
+    def _handlers(self) -> tuple[Callable, Callable]:
+        """expat's start and end tag handlers, closures over the stack, the text chunks and the leaf table."""
+        stack, chunks, leaves = self.stack, self.chunks, self.leaves
 
-    def _open_pending(self) -> None:
-        """Give the pending leaf the frame that ``_start`` did not open for it."""
-        tag, value, attrs, pos = self.pending
-        self.pending = None
-        self.stack.append([tag, _ELEMENTS[tag], attrs, pos, [value] if tag == "seg" else [], "", None])
+        def start(tag: str, attrs: dict[str, str]) -> None:
+            if self.skip_depth:  # the skipped element's end tag drops its text
+                self.skip_depth += 1
+                return
+            pending = self.pending
+            if pending is not None:  # the pending leaf has a child after all: open its frame
+                self.pending = None
+                members = [pending[1]] if pending[0] == "seg" else []
+                stack.append([pending[0], _ELEMENTS[pending[0]], pending[2], pending[3], members, "", None, members])
+            parent = stack[-1]
+            if chunks:
+                text = "".join(chunks)
+                chunks.clear()
+                if parent[6] is None or text.strip():
+                    parent[5] += text
+            row = parent[1].contains.get(tag) or self._other(tag, parent)
+            if row is None:
+                return
+            at = self.parser.CurrentByteIndex
+            if len(attrs) == 1:
+                if tag == "feat" and "type" in attrs:
+                    self.pending = (tag, attrs["type"], attrs, at)
+                    return
+                if tag == "seg" and "target" in attrs and parent[0] in ("struct", "brack"):
+                    self.pending = (tag, SegmentRef(IdTargets((attrs["target"].removeprefix("#"),))), attrs, at)
+                    return
+            if row.attrs is not None and not row.attrs.issuperset(attrs):
+                for name in attrs:
+                    if name not in row.attrs:
+                        self._warn(f"unknown attribute '{name}' on <{tag}>; ignored", at)
+            members = [self._read_seg(attrs, at)] if tag == "seg" else []
+            stack.append([tag, row, attrs, at, members, "", None, [] if tag == "struct" else members])
+
+        def end(tag: str) -> None:
+            if self.skip_depth:
+                chunks.clear()
+                self.skip_depth -= 1
+                return
+            pending = self.pending
+            if pending is not None:  # no child arrived, so this is the pending leaf's end tag
+                self.pending = None
+                parent = stack[-1]
+                if tag == "feat":
+                    parent[4].append(_leaf(leaves, pending[1], "".join(chunks).strip()))
+                else:
+                    parent[4].append(pending[1])
+                chunks.clear()
+                parent[6] = tag
+                return
+            frame = stack.pop()
+            text = frame[5]
+            if chunks:
+                text += "".join(chunks)
+                chunks.clear()
+            if frame[6] is not None and text.strip():
+                self._warn(f"<{tag}> mixes text with child elements; text ignored", frame[3])
+                text = ""
+            elif tag in ("struct", "alt", "brack") and text.strip():  # elements that hold no text
+                self._warn(f"<{tag}> contains stray text; ignored", frame[3])
+            parent = stack[-1]
+            frame[1].close(self, frame, parent, text)
+            parent[6] = tag
+
+        return start, end
 
     def _other(self, tag: str, parent: _Frame) -> Optional[_Element]:
         """The row of a tag that its parent's row does not map, or None when the element is skipped."""
@@ -183,38 +213,6 @@ class _GmtBuilder:
         self._warn(f"<{parent[0]}> cannot contain <{tag}>; element skipped")
         self.skip_depth = 1
         return None
-
-    def _end(self, tag: str) -> None:
-        chunks = self.chunks
-        if self.skip_depth:
-            chunks.clear()
-            self.skip_depth -= 1
-            return
-        pending = self.pending
-        if pending is not None:  # no child arrived, so this is the pending leaf's end tag
-            self.pending = None
-            parent = self.stack[-1]
-            if tag == "feat":
-                parent[4].append(_leaf(self.leaves, pending[1], "".join(chunks).strip()))
-            else:
-                parent[4].append(pending[1])
-            chunks.clear()
-            parent[6] = tag
-            return
-        stack = self.stack
-        frame = stack.pop()
-        text = frame[5]
-        if chunks:
-            text += "".join(chunks)
-            chunks.clear()
-        if frame[6] is not None and text.strip():
-            self._warn(f"<{tag}> mixes text with child elements; text ignored", frame[3])
-            text = ""
-        elif tag in ("struct", "alt", "brack") and text.strip():  # elements that hold no text
-            self._warn(f"<{tag}> contains stray text; ignored", frame[3])
-        parent = stack[-1]
-        frame[1].close(self, frame, parent, text)
-        parent[6] = tag
 
     def _external_entity(self, name: str, base: Optional[str], system_id: str, public_id: Optional[str]) -> int:
         self._warn(f"external entity '{name}' (system id '{system_id}') not fetched; read as empty")
@@ -232,14 +230,9 @@ class _GmtBuilder:
         if "id" in attrs and "ID" in attrs:
             self._warn("both 'id' and 'ID' given; 'id' wins", frame[3])
         ref = attrs.get("ref")
-        items, children = self._finish(frame[4])
-        parent[4].append(StructNode(
-            attrs.get("type"),
-            attrs.get("id", attrs.get("ID")),
-            ref.removeprefix("#") if ref is not None else None,
-            items,
-            children,
-        ))
+        items, children = self._finish(frame[4]) if frame[7] is frame[4] else (tuple(frame[4]), tuple(frame[7]))
+        parent[7].append(StructNode(attrs.get("type"), attrs.get("id", attrs.get("ID")),
+                                    ref.removeprefix("#") if ref is not None else None, items, children))
 
     def _close_feat(self, frame: _Frame, parent: _Frame, text: str) -> None:
         cat = frame[2].get("type")
@@ -264,7 +257,7 @@ class _GmtBuilder:
         elif parent[6] == "alt":  # the run that the previous sibling opened
             parent[4][-1].append(tuple(frame[4]))
         else:
-            parent[4].append([tuple(frame[4])])
+            _unsorted(parent).append([tuple(frame[4])])
 
     def _close_rel(self, frame: _Frame, parent: _Frame, text: str) -> None:
         target = frame[2].get("target")
@@ -287,7 +280,7 @@ class _GmtBuilder:
     def _lift(self, members: list) -> str:
         """Attach members to the nearest enclosing node, or drop them inside an unknown element; say which."""
         owner = next(f for f in reversed(self.stack) if f[0] == "struct" or f[1] is _UNKNOWN)
-        owner[4].extend(members)
+        _unsorted(owner).extend(members)
         return "attached to the enclosing node" if owner[0] == "struct" else f"dropped with unknown <{owner[0]}>"
 
     def _close_brack(self, frame: _Frame, parent: _Frame, text: str) -> None:
@@ -303,7 +296,7 @@ class _GmtBuilder:
         elif parent[0] not in ("struct", "brack"):
             self._warn(f"<{frame[0]}> in an unexpected position; ignored", frame[3])
         else:
-            parent[4].append((frame[0], target.removeprefix("#"), frame[3]))  # paired by the enclosing _finish
+            _unsorted(parent).append((frame[0], target.removeprefix("#"), frame[3]))  # paired by the enclosing _finish
 
     def _close_unknown(self, frame: _Frame, parent: _Frame, text: str) -> None:
         if frame[6] is not None:
@@ -338,10 +331,10 @@ class _GmtBuilder:
             self._warn("<startsAt> without a matching <endsAt>; dropped", items.pop(start)[2])
         return tuple(items), tuple(children)
 
-    def _read_seg(self, attrs: dict[str, str], pos: tuple[int, int]) -> SegmentRef:
+    def _read_seg(self, attrs: dict[str, str], at: int) -> SegmentRef:
         id_mode = "target" in attrs or "targets" in attrs
-        start_raw = self._positional_attr(attrs, "startsAt", "startPosition", pos)
-        end_raw = self._positional_attr(attrs, "endsAt", "endPosition", pos)
+        start_raw = self._positional_attr(attrs, "startsAt", "startPosition", at)
+        end_raw = self._positional_attr(attrs, "endsAt", "endPosition", at)
         if id_mode and (start_raw is not None or end_raw is not None):
             self._fail("<seg> mixes id and positional addressing; the modes are exclusive")
         if id_mode:
@@ -355,12 +348,12 @@ class _GmtBuilder:
             if start_raw is None or end_raw is None:
                 self._fail("<seg> positional addressing needs both a start and an end")
             return SegmentRef(PositionalSpan(self._offset(start_raw), self._offset(end_raw)))
-        self._warn("<seg> without any addressing", pos)
+        self._warn("<seg> without any addressing", at)
         return SegmentRef(IdTargets(()))
 
-    def _positional_attr(self, attrs: dict[str, str], name: str, synonym: str, pos: tuple[int, int]) -> Optional[str]:
+    def _positional_attr(self, attrs: dict[str, str], name: str, synonym: str, at: int) -> Optional[str]:
         if name in attrs and synonym in attrs:
-            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", pos)
+            self._warn(f"both '{name}' and '{synonym}' given; '{name}' wins", at)
             return attrs[name]
         return attrs.get(name, attrs.get(synonym))
 
@@ -383,8 +376,29 @@ class _GmtBuilder:
                 expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
             ) from exc
         finally:
-            self.parser = None  # its handlers are bound methods: drop the cycle through self
-        return GmtDocument(self.stack[0][4][0]), ParseDiagnostics(tuple(self.warnings))
+            self.parser = None  # its handlers hold self, as closures or bound methods: drop the cycle
+        return GmtDocument(self.stack[0][4][0]), ParseDiagnostics(_placed(text, self.warnings) if self.warnings else ())
+
+
+def _unsorted(frame: _Frame) -> list:
+    """The members of ``frame``, for ``_finish`` to sort out: a <struct>'s nodes so far move to their front."""
+    if frame[7] is not frame[4]:
+        frame[4][:0], frame[7] = frame[7], frame[4]
+    return frame[4]
+
+
+def _placed(text: str, warnings: list[tuple[int, str]]) -> tuple[ParseWarning, ...]:
+    """Each warning ``(UTF-8 byte index, message)`` on ``text`` at expat's 1-based line and column, from
+    one pass in index order: columns count characters, and CRLF and a lone CR each end one line."""
+    data, places = text.encode(), {}
+    byte, char, start, line = 0, 0, 0, 1  # the last index placed, its character offset, where its line starts
+    for index in sorted({at for at, _ in warnings}):
+        end = char + len(data[byte:index].decode())
+        line += text.count("\n", char, end) + text.count("\r", char, end) - text.count("\r\n", char, end)
+        start = max(text.rfind("\n", char, end), text.rfind("\r", char, end), start - 1) + 1
+        places[index] = (line, end - start + 1)
+        byte, char = index, end
+    return tuple(ParseWarning(*places[at], message) for at, message in warnings)
 
 
 class _Element(NamedTuple):

@@ -8,6 +8,7 @@ import random
 import weakref
 from collections import Counter
 from typing import Optional
+from xml.parsers import expat
 
 import pytest
 
@@ -334,6 +335,45 @@ WARNING_ROWS = [
 def test_reader_warnings(text, expected):
     _, diagnostics = parse_gmt(text)
     assert sorted(diagnostics.warnings) == expected
+
+
+def _start_tag_places(text: str) -> list[tuple[int, int]]:
+    """expat's own 1-based (line, column) at each start tag, in document order."""
+    parser = expat.ParserCreate()
+    places: list[tuple[int, int]] = []
+    parser.StartElementHandler = lambda tag, attrs: places.append(
+        (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1))
+    parser.Parse(text, True)
+    return places
+
+
+# Documents in which every element carries an unknown attribute, so each warns once, at its start tag.
+POSITION_ROWS = [
+    ("crlf", '<struct x="1">\r\n  <feat type="a" x="1">v</feat>\r\n  <feat type="b" x="1">w</feat>\r\n</struct>'),
+    ("lone-cr", '<struct x="1">\r  <feat type="a" x="1">v</feat>\r\r<feat type="b" x="1">w</feat>\r</struct>'),
+    ("mixed-line-ends", '<struct x="1">\r\n<feat type="a" x="1">v</feat>\r<feat type="b" x="1">w</feat>\n'
+                        '<feat type="c" x="1">u</feat>\n\r<feat type="d" x="1">t</feat></struct>'),
+    ("bom", '\ufeff<struct x="1"><feat type="a" x="1">v</feat>\n<feat type="b" x="1">w</feat></struct>'),
+    ("astral-combining-tabs", '<struct x="1">\t<feat type="\U0001F600" x="1">é\U0001F600\U00010348</feat>'
+                              '\t\t<feat type="á" x="1">\U0001F600</feat>\n\t<feat type="b" x="1">é</feat></struct>'),
+    ("multi-line-start-tags", '<struct\n  x="1">\n  <feat\r\n    type="a"\r    x="1">v</feat><feat type="b"\n x="1"\n>w</feat>'
+                              '\n</struct>'),
+    ("internal-entity", '<!DOCTYPE struct [<!ENTITY e "<feat type=\'a\' x=\'1\'>v</feat>\n<feat type=\'b\' x=\'1\'>w</feat>">\n'
+                        '<!ENTITY f "&e;<feat type=\'c\' x=\'1\'>u</feat>">]>\n<struct x="é">\n  &e;\n  &f;<feat type="d" x="1">t</feat>'
+                        '</struct>'),
+    ("declared-latin-1", '<?xml version="1.0" encoding="ISO-8859-1"?>\n<struct x="é"> <feat type="ü" x="1">éè'
+                         '</feat><feat type="b" x="ÿ">ß</feat>\n</struct>'),
+    ("one-line-5000", '<struct x="1">' + '<feat type="a" x="é">é\U0001F600</feat>' * 5000 + '</struct>'),
+]
+
+
+@pytest.mark.parametrize("text", [row[1] for row in POSITION_ROWS], ids=[row[0] for row in POSITION_ROWS])
+def test_warning_positions_are_expats_own(text):
+    # The reader keeps a byte index per element and turns them into lines and columns after the parse:
+    # columns count characters, and CRLF and a lone CR each end one line, as expat counts them.
+    _, diagnostics = parse_gmt(text)
+    assert all(w.message.startswith("unknown attribute 'x' on <") for w in diagnostics.warnings)
+    assert [(w.line, w.column) for w in diagnostics.warnings] == _start_tag_places(text)
 
 
 # ---------------------------------------------------------------------------
