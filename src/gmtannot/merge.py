@@ -94,8 +94,9 @@ def seg_key(seg: SegmentRef) -> str:
 def anchor_key(node: StructNode) -> Optional[str]:
     """Alignment key for a node, or None when it has no anchor at all.
 
-    A node carrying segments is keyed by them.  Any other node is keyed by
-    its type and its children's keys, folded bottom-up by :func:`_scan`.
+    A node carrying segments is keyed by them, computed once per node object and kept on it.
+    Any other node is keyed by its type and its children's keys, folded bottom-up by
+    :func:`_scan` on each call.
     """
     return _scan(node)[0][0]
 
@@ -103,6 +104,14 @@ def anchor_key(node: StructNode) -> Optional[str]:
 def _key(segs: list[SegmentRef]) -> str:
     # Most nodes have one segment, whose key takes no sort.
     return seg_key(segs[0]) if len(segs) == 1 else "&".join(sorted(map(seg_key, segs)))
+
+
+def _keep_anchor(node: StructNode, segs: list[SegmentRef]) -> tuple[str, str]:
+    """``(key, mode)`` of a node with segments, kept in its ``_anchor`` slot: nodes are immutable, so it never
+    goes stale.  Segless nodes keep nothing, as their folded keys grow with their depth."""
+    anchor = (_key(segs), type(segs[0].addr).__name__)
+    _set(node, "_anchor", anchor)
+    return anchor
 
 
 def _scan(root: StructNode, fold_root: bool = True) -> tuple[Optional[tuple], list[tuple]]:
@@ -123,9 +132,13 @@ def _scan(root: StructNode, fold_root: bool = True) -> tuple[Optional[tuple], li
             children = done[start:]
             del done[start:]
         else:
+            anchor = getattr(node, "_anchor", None)
+            if anchor is not None:
+                done.append(anchor)
+                continue
             segs = [item for item in iter_items(node) if type(item) is SegmentRef]
             if segs:
-                done.append((_key(segs), type(segs[0].addr).__name__))
+                done.append(_keep_anchor(node, segs))
                 continue
             if node.children:
                 stack.append((node, len(done)))
@@ -215,7 +228,8 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
             children = tuple(sorted(taken[len(taken) - len(element.children):]))
         fingerprint = intern((element.type or "", tuple(sorted(ids)), children), len(table))
         if segs:
-            found.setdefault(_key(segs), []).append((fingerprint, element))
+            key = (getattr(element, "_anchor", None) or _keep_anchor(element, segs))[0]
+            found.setdefault(key, []).append((fingerprint, element))
         done.append(-1 if segs else fingerprint)
     return found
 

@@ -174,8 +174,11 @@ NodeItem = Union[Feature, AltSet, Relation, SegmentRef, Bracket]
 
 
 class StructNode(Record):
-    """A structural node of the annotation; may nest recursively."""
-    __slots__ = ("type", "id", "ref", "items", "children")
+    """A structural node of the annotation; may nest recursively.
+
+    ``_anchor`` keeps a node's ``(key, mode)`` from :mod:`gmtannot.merge` once computed, if it carries segments.
+    """
+    __slots__ = ("type", "id", "ref", "items", "children", "_anchor")
 
     def __init__(
         self,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import importlib
 import itertools
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -42,7 +44,7 @@ from gmtannot import (
 )
 from gmtannot.merge import POLICIES, DiffEntry, _fingerprint, _scan, seg_key
 from gmtannot.model import iter_items, replace
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from randgen import deep_chain_text, deep_feature_text, deep_segless_text, random_document, random_mergeable_document
 
 
@@ -596,15 +598,30 @@ def test_diff_and_merge_scan_each_node_once(monkeypatch):
     rng = random.Random(83)
     for _ in range(40):
         left, right = random_document(rng), random_document(rng)
-        nodes = {id(node) for doc in (left, right) for _, node in doc.walk()}
+        # Each first call runs on deep copies, which no earlier call has keyed.
+        cold = copy.deepcopy((left, right))
+        nodes = {id(node) for doc in cold for _, node in doc.walk()}
         scans.clear()
-        diff(left, right)
+        diff(*cold)
         assert set(scans) == nodes and set(scans.values()) == {1}
+        for policy in POLICIES:
+            cold = copy.deepcopy((left, right))
+            nodes = {id(node) for doc in cold for _, node in doc.walk()}
+            scans.clear()
+            merge(list(cold), MergePolicy(policy))
+            assert set(scans) <= nodes and set(scans.values()) == {1}
+            assert {id(child) for doc in cold for child in doc.root.children} <= set(scans)
+        # Repeat calls on keyed documents: merge passes no node with segments to iter_items,
+        # and diff, whose fingerprints come from a per-call table, still scans each node once.
+        nodes = {id(node): node for doc in (left, right) for _, node in doc.walk()}
+        merge([left, right])
         for policy in POLICIES:
             scans.clear()
             merge([left, right], MergePolicy(policy))
-            assert set(scans) <= nodes and set(scans.values()) == {1}
-            assert {id(child) for doc in (left, right) for child in doc.root.children} <= set(scans)
+            assert not any(type(item) is SegmentRef for key in scans for item in real_iter_items(nodes[key]))
+        scans.clear()
+        diff(left, right)
+        assert set(scans) == set(nodes) and set(scans.values()) == {1}
 
 
 def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments(monkeypatch):
@@ -621,6 +638,64 @@ def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments(monkeypatc
     assert sum(map(len, found)) < 100
     # The merge's scan folds the same chain's key up to the root, escaping each segless node's type once.
     assert _scan(doc.root)[0][0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
+
+
+def _has_segments(node: StructNode) -> bool:
+    return any(type(item) is SegmentRef for item in iter_items(node))
+
+
+def test_a_kept_anchor_is_invisible_to_equality_hash_repr_and_copies():
+    doc, fresh = (parse_gmt(load_fixture("msannot_sentence.xml"))[0] for _ in range(2))
+    diff(doc, doc)
+    node, twin = doc.root.children[0], fresh.root.children[0]
+    assert node._anchor == ("ids:w1", "IdTargets") and not hasattr(twin, "_anchor")
+    assert node == twin and hash(node) == hash(twin) and repr(node) == repr(twin)
+    for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node), replace(node)):
+        assert copied == node and not hasattr(copied, "_anchor")
+
+
+def _merge_outcome(left: GmtDocument, right: GmtDocument, policy: str) -> tuple[str, list[str]]:
+    warnings: list[str] = []
+    try:
+        written = serialize_gmt(merge([left, right], MergePolicy(policy), warnings))
+    except (MergeError, GmtSerializeError) as exc:
+        written = f"{type(exc).__name__}: {exc}"
+    return written, warnings
+
+
+def test_keyed_documents_give_what_fresh_copies_give():
+    rng = random.Random(61)
+    pairs = [(random_document(rng), random_document(rng)) for _ in range(30)]
+    pairs += [(random_mergeable_document(rng), random_mergeable_document(rng, id_prefix="m")) for _ in range(30)]
+    names = sorted(path.name for path in FIXTURES.glob("*.xml") if path.name != "annotation_graph.xml")
+    fixtures = {name: load_fixture(name) for name in names}
+    pairs += [(parse_gmt(fixtures[a])[0], parse_gmt(fixtures[b])[0]) for a, b in itertools.product(names, repeat=2)]
+    calls = [lambda left, right, policy=policy: _merge_outcome(left, right, policy) for policy in POLICIES]
+    calls += [
+        lambda left, right: diff(left, right).render(),
+        lambda left, right: [anchor_key(node) for doc in (left, right) for _, node in doc.walk()],
+    ]
+    for left, right in pairs:
+        warm_up = [calls[-1], calls[-2], calls[rng.randrange(len(POLICIES))]]
+        rng.shuffle(warm_up)
+        for call in warm_up:
+            call(left, right)
+        # Every node with segments, and no other, now keeps its (key, mode).
+        assert all(hasattr(node, "_anchor") == _has_segments(node) for doc in (left, right) for _, node in doc.walk())
+        for call in calls:
+            assert call(left, right) == call(*copy.deepcopy((left, right)))
+
+
+@pytest.mark.parametrize("make", [deep_segless_text, deep_chain_text], ids=["segless-chain", "chain"])
+def test_no_node_without_segments_keeps_an_anchor(make):
+    left, right = parse_gmt(make(3000))[0], parse_gmt(make(3000))[0]
+    anchor_key(left.root)
+    anchor_key(left.root.children[0])  # a segless node in both documents, whose key folds the chain below it
+    diff(left, right)
+    for policy in (KEEP_ALL, FOLD_TO_ALT):  # dedup recurses through record equality: ROADMAP item 1
+        merge([left, right], MergePolicy(policy))
+    kept = [_has_segments(node) for doc in (left, right) for _, node in doc.walk() if hasattr(node, "_anchor")]
+    assert kept == [True, True]
 
 
 def test_diff_merge_and_write_leave_no_cyclic_garbage():
