@@ -156,7 +156,9 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
 
 def _node_path(doc: GmtDocument, count: int) -> str:
     """The path of the ``count``-th node of :meth:`GmtDocument.walk`, rendered only for an error."""
-    return [path for path, _ in doc.walk()][count - 1]
+    for k, (path, _) in enumerate(doc.walk(), 1):
+        if k == count:
+            return path
 
 
 class ResolvedSpan(Record):

@@ -216,80 +216,41 @@ class GmtDocument(Record):
         """Yield ``(path, node)`` for every node in document order.
 
         Nodes nested inside alternative bundles are included, so the walk
-        covers every node that can carry an id.  This is the node-only view
-        of :func:`walk_elements`; each path is rendered from its nearest
-        node ancestor's, so the cost stays linear in the paths' length.
+        covers every node that can carry an id.  :func:`_render` names each
+        node, and the frame of its members starts from its path, so the cost
+        stays linear in the paths' length.
         """
-        # (path, rendered path) of the node and its open node ancestors.
-        rendered: list[tuple[Optional[ElementPath], str]] = [(None, "")]
-        for path, _, element in walk_elements(self):
-            if isinstance(element, StructNode):
-                up, suffix = path[0], f"/struct[{path[2]}]"
-                while up is not None and up[1] != "struct":
-                    up, tag, position = up
-                    suffix = f"/{tag}[{position}]{suffix}"
-                while rendered[-1][0] is not up:
-                    rendered.pop()
-                text = rendered[-1][1] + suffix
-                rendered.append((path, text))
-                yield text, element
-
-
-#: An element's address as a linked ``(parent, tag, position)`` tuple; the
-#: parent of a root node is None.  :func:`render_path` spells it out.
-ElementPath = tuple
-#: The model value an element sits in: a node, bracket, alternative set
-#: (for bundle members) or feature (for nested features); None for a root.
-Owner = Union[None, StructNode, Bracket, AltSet, Feature]
-Element = Union[StructNode, NodeItem]
-
-
-def walk_elements(doc: GmtDocument) -> Iterator[tuple[ElementPath, Owner, Element]]:
-    """Yield ``(path, owner, element)`` for every element in document order.
-
-    Elements are nodes, items, alternative-bundle members, bracket members
-    and nested features, in the order :func:`~gmtannot.xml_io.serialize_gmt`
-    writes them.  Positions count per tag within the owner.  An alternative
-    set takes the position of its first ``<alt>`` and advances ``alt`` by
-    its bundle count; each bundle's members sit under their own ``<alt>``.
-    The walk keeps an explicit stack, so nesting depth is bounded by memory
-    only.
-    """
-    # One frame per open owner: its members still to visit, its path, the
-    # owner itself and the per-tag counts so far.
-    stack: list[tuple[Iterator, Optional[ElementPath], Owner, dict[str, int]]] = [
-        (iter((doc.root,)), None, None, {})
-    ]
-    while stack:
-        members, parent, owner, counts = stack[-1]
-        for member in members:
-            tag = _TAGS[type(member)]
-            position = counts.get(tag, 0) + 1
-            counts[tag] = position + len(member.alternatives) - 1 if tag == "alt" else position
-            path = (parent, tag, position)
-            yield path, owner, member
-            if tag == "alt":
-                for k in range(len(member.alternatives) - 1, -1, -1):
-                    stack.append((iter(member.alternatives[k]), (parent, "alt", position + k), member, {}))
-                break
-            inner = (
-                member.items + member.children if tag == "struct"
-                else member.nested if tag == "feat"
-                else member.members if tag == "brack"
-                else None
-            )
-            if inner:
-                stack.append((iter(inner), path, member, {}))
-                break
-        else:
-            stack.pop()
+        root = (self.root,)
+        # Frames of _validate's shape, without a feature memo: only nodes, brackets and bundles hold nodes.
+        stack = [[enumerate(root), root, None, 0, 0, None, ["", 0, {}]]]
+        while stack:
+            frame = stack[-1]
+            for i, member in frame[0]:
+                kind = type(member)
+                if kind is StructNode:
+                    path = _render(frame, i)
+                    yield path, member
+                    inner = member.items + member.children
+                    if inner:
+                        stack.append([enumerate(inner), inner, frame, i, 0, None, [path, 0, {}]])
+                        break
+                elif kind is Bracket:
+                    stack.append([enumerate(member.members), member.members, frame, i, 0, None, None])
+                    break
+                elif kind is AltSet:
+                    for k in range(len(member.alternatives) - 1, -1, -1):
+                        bundle = member.alternatives[k]
+                        stack.append([enumerate(bundle), bundle, frame, i, k, None, None])
+                    break
+            else:
+                stack.pop()
 
 
 _TAGS = {StructNode: "struct", Feature: "feat", Relation: "rel", SegmentRef: "seg", Bracket: "brack", AltSet: "alt"}
 
 
 def _nodes(doc: GmtDocument) -> Iterator[StructNode]:
-    """Every node in :func:`walk_elements` order, without paths: the count-th is :meth:`GmtDocument.walk`'s."""
+    """Every node in the document order of ``docs/formats.md``, without paths, as :meth:`GmtDocument.walk` yields them."""
     stack: list = [doc.root]
     while stack:
         element = stack.pop()
@@ -300,15 +261,6 @@ def _nodes(doc: GmtDocument) -> Iterator[StructNode]:
         elif kind is AltSet or kind is Bracket or kind is Feature and element.nested:
             stack += reversed(element.nested if kind is Feature else element.members if kind is Bracket
                               else [member for bundle in element.alternatives for member in bundle])
-
-
-def render_path(path: ElementPath) -> str:
-    """The XPath-like string form of a path, such as ``/struct[1]/alt[2]/feat[1]``."""
-    parts = []
-    while path is not None:
-        path, tag, position = path
-        parts.append(f"/{tag}[{position}]")
-    return "".join(reversed(parts))
 
 
 def iter_items(node: StructNode) -> tuple[NodeItem, ...]:
@@ -370,8 +322,8 @@ def _validate(doc: GmtDocument, structure: bool, check: Optional[Callable]) -> t
     """The structure findings (if ``structure``) and the findings of ``check``, from one walk.
 
     ``check`` takes a feature and returns its ``(code, message)``, or None.
-    The walk goes in :func:`walk_elements` order and builds no paths: a frame
-    records the member it descends into, and :func:`_render` names findings.
+    The walk goes in document order ("Element paths" in ``docs/formats.md``) and builds no paths:
+    a frame records the member it descends into, and :func:`_render` names findings.
     """
     findings: tuple[list[Finding], list[Finding]] = ([], [])
     seen_ids: set[str] = set()
@@ -467,33 +419,33 @@ def _problems(element: Union[Feature, NodeItem], in_bundle: bool) -> tuple[tuple
     return tuple(problems)
 
 
-def _render(frame: list, index: int) -> str:
-    """The path of member ``index`` of an open frame, as :func:`render_path` spells it.
+def _render(frame: list, index: int, offset: int = 0) -> str:
+    """The path of member ``index`` of an open frame, by the rules of "Element paths" in ``docs/formats.md``.
 
-    A frame's state, made at the first finding below it, is ``[its owner's
-    path, a cursor, the per-tag counts of the members before the cursor]``.
-    Findings come in document order, so each cursor only moves forward, and
-    all paths together cost time linear in the document and their length.
+    ``offset`` counts the ``<alt>`` elements of the member's set before the one asked for.  A frame's state,
+    made when its owner is first named, is ``[its owner's path, a cursor, the per-tag counts of the members
+    before the cursor]``.  Paths are asked for in document order, so each cursor only moves forward, and all
+    paths together cost time linear in the document and their length.
     """
-    steps = [(frame, index, 0, None)]
-    while frame[6] is None:
-        steps.append((frame[2], frame[3], frame[4], frame))
-        frame = frame[2]
-    for owner, position, offset, child in reversed(steps):
-        prefix, cursor, counts = state = owner[6]
-        for member in owner[1][cursor:position]:
-            tag = _TAGS[type(member)]
-            counts[tag] = counts.get(tag, 0) + (len(member.alternatives) if tag == "alt" else 1)
-        state[1] = position
-        tag = _TAGS[type(owner[1][position])]
-        path = f"{prefix}/{tag}[{counts.get(tag, 0) + 1 + offset}]"
-        if child is not None:
-            child[6] = [path, 0, {}]
-    return path
+    if frame[6] is None:
+        # Name this frame and its unnamed ancestors from the top down, so each call below finds its frame named.
+        unnamed, owner = [], frame
+        while owner[6] is None:
+            unnamed.append(owner)
+            owner = owner[2]
+        for child in reversed(unnamed):
+            child[6] = [_render(child[2], child[3], child[4]), 0, {}]
+    prefix, cursor, counts = state = frame[6]
+    for member in frame[1][cursor:index]:
+        tag = _TAGS[type(member)]
+        counts[tag] = counts.get(tag, 0) + (len(member.alternatives) if tag == "alt" else 1)
+    state[1] = index
+    tag = _TAGS[type(frame[1][index])]
+    return f"{prefix}/{tag}[{counts.get(tag, 0) + 1 + offset}]"
 
 
 def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
-    """Return the first node in :meth:`GmtDocument.walk` order with the given id, or None.
+    """Return the first node with the given id in document order (see ``docs/formats.md``), or None.
 
     The first call indexes every node id with one walk and caches the index
     on the document; documents are immutable, so it never goes stale, and
@@ -516,22 +468,31 @@ def collect_referenced_ids(doc: GmtDocument) -> set[str]:
     feature targets and node ``ref`` attributes.
     """
     refs: set[str] = set()
-    for _, _, element in walk_elements(doc):
-        if isinstance(element, StructNode):
-            if element.ref is not None:
-                refs.add(element.ref)
-        elif isinstance(element, Feature):
-            if element.target is not None:
+    for node in _nodes(doc):
+        if node.ref is not None:
+            refs.add(node.ref)
+        # The node's items, with bracket and bundle members and nested features; _nodes yields the bundles' nodes.
+        stack = list(node.items)
+        while stack:
+            element = stack.pop()
+            kind = type(element)
+            if kind is Feature:
+                if element.target is not None:
+                    refs.add(element.target)
+                stack += element.nested or ()
+            elif kind is Relation:
                 refs.add(element.target)
-        elif isinstance(element, Relation):
-            refs.add(element.target)
-        elif isinstance(element, SegmentRef):
-            addr = element.addr
-            if isinstance(addr, IdTargets):
-                refs.update(addr.ids)
-            elif isinstance(addr, LandmarkEndpoints):
-                refs.add(addr.start)
-                refs.add(addr.end)
+            elif kind is SegmentRef:
+                addr = element.addr
+                if type(addr) is IdTargets:
+                    refs.update(addr.ids)
+                elif type(addr) is LandmarkEndpoints:
+                    refs.update((addr.start, addr.end))
+            elif kind is Bracket:
+                stack += element.members
+            elif kind is AltSet:
+                for bundle in element.alternatives:
+                    stack += bundle
     return refs
 
 

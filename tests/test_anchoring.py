@@ -261,18 +261,19 @@ def _layer(*ids: str) -> GmtDocument:
 def test_resolve_layer_walks_each_layer_document_once(monkeypatch):
     layer = _layer(*(f"n{i}" for i in range(100)))
     walks: list[int] = []
-    real_walk = model.walk_elements
+    real_walk = model._nodes
 
     def counting_walk(doc):
         walks.append(id(doc))
         return real_walk(doc)
 
-    monkeypatch.setattr(model, "walk_elements", counting_walk)
+    # find_node indexes a document with one _nodes walk; the layer lookup goes through it.
+    monkeypatch.setattr(model, "_nodes", counting_walk)
     for i in range(50):
         seg = SegmentRef(IdTargets((f"n{2 * i}", f"n{2 * i + 1}")))
         span = resolve_seg(seg, layers={"words": layer})
         assert span.target_nodes == (f"n{2 * i}", f"n{2 * i + 1}")
-    assert walks.count(id(layer)) <= 1
+    assert walks == [id(layer)]
 
 
 def test_resolve_layer_first_layer_in_mapping_order_wins():

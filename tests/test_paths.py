@@ -1,4 +1,4 @@
-"""Element paths: one walker, one path per element, any nesting depth."""
+"""Element paths: one path per element, any nesting depth, checked against the oracle walk of ``path_oracle``."""
 
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from gmtannot import (
     validate_categories,
     validate_structure,
 )
-from gmtannot.model import render_path, walk_elements
-from randgen import DocBuilder, deep_chain_text, deep_feature_text, random_document
+from path_oracle import referenced_ids, render_path, walk_elements
+from randgen import DocBuilder, deep_chain_text, deep_feature_text, deep_segless_text, random_document
 
 DEPTH = 3000
 
@@ -280,6 +280,29 @@ def test_deep_chain_is_walked_validated_and_searched():
     assert validate_categories(doc, default_registry()).findings == ()
     assert collect_referenced_ids(doc) == {"leaf"}
     assert sum(1 for _ in walk_elements(doc)) == DEPTH + 4
+
+
+def test_collect_referenced_ids_is_the_set_the_oracle_walk_collects():
+    deep = [parse_gmt(make(DEPTH))[0] for make in (deep_chain_text, deep_segless_text, deep_feature_text)]
+    for doc in documents() + deep:
+        assert collect_referenced_ids(doc) == referenced_ids(doc)
+    # Each kind of reference sits inside a bracket and an alternative in some document, a feature target also
+    # inside a nested feature, so that none of the places the collection descends into goes unchecked.
+    places = set()
+    for doc in documents():
+        for path, _, element in walk_elements(doc):
+            kind = type(element)
+            if kind is SegmentRef:
+                name = type(element.addr).__name__
+            elif kind is Relation or kind is StructNode and element.ref or kind is Feature and element.target:
+                name = kind.__name__
+            else:
+                continue
+            while path[0] is not None:
+                path = path[0]
+                places.add((name, path[1]))
+    kinds = ("StructNode", "Feature", "Relation", "IdTargets", "LandmarkEndpoints")
+    assert places >= {(name, tag) for name in kinds for tag in ("brack", "alt")} | {("Feature", "feat")}
 
 
 def test_every_feature_of_a_wide_node_is_named():

@@ -35,8 +35,9 @@ from gmtannot import (
     validate_categories,
     validate_structure,
 )
-from gmtannot.model import replace, walk_elements
+from gmtannot.model import replace
 from conftest import FIXTURES, load_fixture
+from path_oracle import walk_elements
 from randgen import deep_feature_text, random_document, random_markup, random_mergeable_document
 
 
