@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .anchoring import _span, build_landmark_table
+from .anchoring import LANDMARK_TYPE, POSITION_CAT, _span, build_landmark_table
 from .errors import AgParseError, BridgeError
 from .model import (
     Feature,
@@ -37,6 +37,9 @@ from .xml_io import _attr
 
 ARC_TYPE_ATTR = "att_1"
 ARC_PAYLOAD_ATTR = "att_2"
+
+#: Document type of the landmark description that :func:`ag_to_gmt` writes.
+LANDMARK_DESC_TYPE = "landmarkDesc"
 
 #: att_1 value -> (document type, payload category).
 DEFAULT_TYPE_MAP: dict[str, tuple[str, str]] = {
@@ -211,13 +214,13 @@ def ag_to_gmt(
     leaves: dict[tuple[str, str], Feature] = {}
     landmark_children = tuple(
         StructNode(
-            type="landmark",
+            type=LANDMARK_TYPE,
             id=node_id,
-            items=(_leaf(leaves, "position", str(offset)),),
+            items=(_leaf(leaves, POSITION_CAT, str(offset)),),
         )
         for node_id, offset in sorted(graph.nodes.items(), key=lambda kv: (kv[1], kv[0]))
     )
-    landmark_doc = GmtDocument(StructNode(type="landmarkDesc", children=landmark_children))
+    landmark_doc = GmtDocument(StructNode(type=LANDMARK_DESC_TYPE, children=landmark_children))
     by_type: dict[str, list[StructNode]] = {}
     for position, arc in enumerate(graph.arcs, start=1):
         att1 = arc.get(ARC_TYPE_ATTR)

@@ -156,9 +156,7 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
 
 def _node_path(doc: GmtDocument, count: int) -> str:
     """The path of the ``count``-th node of :meth:`GmtDocument.walk`, rendered only for an error."""
-    for k, (path, _) in enumerate(doc.walk(), 1):
-        if k == count:
-            return path
+    return list(doc.walk())[count - 1][0]
 
 
 class ResolvedSpan(Record):

@@ -6,9 +6,10 @@ raised while a command works on its inputs; 2 an ``OSError``, a GMT,
 annotation-graph, registry or token-index file that does not parse, or an
 input unusable before any work begins (a malformed ``--map`` table, a
 landmark description that yields no table for ``resolve --landmarks``,
-more than one graph for ``ag -> gmt``).  :func:`main` alone turns an
-error into an exit code and one ``gmtannot: ...`` line; any other
-exception is a bug and keeps its traceback.
+more than one graph for ``ag -> gmt``, or output file names for it that
+collide or are not plain names).  :func:`main` alone turns an error into
+an exit code and one ``gmtannot: ...`` line; any other exception is a bug
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agraph import DEFAULT_TYPE_MAP, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag
+from .agraph import DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag
 from .anchoring import build_landmark_table, load_token_index, resolve_seg
 from .errors import (
     AgParseError,
@@ -30,7 +31,7 @@ from .errors import (
     TokenIndexError,
     UnresolvedTargetError,
 )
-from .merge import DEDUP_IDENTICAL, FOLD_TO_ALT, KEEP_ALL, MergePolicy, diff, merge
+from .merge import KEEP_ALL, POLICIES, MergePolicy, diff, merge
 from .model import GmtDocument, SegmentRef, ValidationReport, _validate, iter_items
 from .registry import _check_feature, default_registry, load_registry
 from .xml_io import parse_gmt, serialize_gmt
@@ -81,10 +82,16 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if len(args.inputs) != 1:
             raise _InputError("ag -> gmt takes exactly one input file")
         docs = ag_to_gmt(parse_ag(_read(args.inputs[0])), type_map)
+        # Every name is checked before any file is written, so a refused conversion writes nothing.
+        names = ["landmarks.xml" if doc.doc_type == LANDMARK_DESC_TYPE else f"{doc.doc_type}.xml" for doc in docs]
+        for k, name in enumerate(names):
+            if Path(name).name != name or "\0" in name:
+                raise _InputError(f"document type {docs[k].doc_type!r} does not name a file in the output directory")
+            if name in names[:k]:
+                raise _InputError(f"two documents would both be written to {name!r}")
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for doc in docs:
-            name = "landmarks.xml" if doc.doc_type == "landmarkDesc" else f"{doc.doc_type}.xml"
+        for doc, name in zip(docs, names):
             (out_dir / name).write_text(serialize_gmt(doc), encoding="utf-8")
     else:
         landmark_doc = _load_document(args.inputs[0])
@@ -167,11 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="merge annotation layers of one document type")
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--policy",
-        choices=(KEEP_ALL, DEDUP_IDENTICAL, FOLD_TO_ALT),
-        default=KEEP_ALL,
-    )
+    p.add_argument("--policy", choices=POLICIES, default=KEEP_ALL)
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("diff", help="compare two documents anchor by anchor")

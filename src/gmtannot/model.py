@@ -213,37 +213,16 @@ class GmtDocument(Record):
         return (self.root,)
 
     def walk(self) -> Iterator[tuple[str, StructNode]]:
-        """Yield ``(path, node)`` for every node in document order.
+        """An iterator over the list of ``(path, node)`` for every node, in document order.
 
         Nodes nested inside alternative bundles are included, so the walk
-        covers every node that can carry an id.  :func:`_render` names each
-        node, and the frame of its members starts from its path, so the cost
-        stays linear in the paths' length.
+        covers every node that can carry an id.  The list is built in full by
+        the validators' walk, :func:`_validate`, and :func:`_render` names
+        each node, so the cost stays linear in the paths' length.
         """
-        root = (self.root,)
-        # Frames of _validate's shape, without a feature memo: only nodes, brackets and bundles hold nodes.
-        stack = [[enumerate(root), root, None, 0, 0, None, ["", 0, {}]]]
-        while stack:
-            frame = stack[-1]
-            for i, member in frame[0]:
-                kind = type(member)
-                if kind is StructNode:
-                    path = _render(frame, i)
-                    yield path, member
-                    inner = member.items + member.children
-                    if inner:
-                        stack.append([enumerate(inner), inner, frame, i, 0, None, [path, 0, {}]])
-                        break
-                elif kind is Bracket:
-                    stack.append([enumerate(member.members), member.members, frame, i, 0, None, None])
-                    break
-                elif kind is AltSet:
-                    for k in range(len(member.alternatives) - 1, -1, -1):
-                        bundle = member.alternatives[k]
-                        stack.append([enumerate(bundle), bundle, frame, i, k, None, None])
-                    break
-            else:
-                stack.pop()
+        walked: list[tuple[str, StructNode]] = []
+        _validate(self, False, None, lambda frame, index, node: walked.append((_render(frame, index), node)))
+        return iter(walked)
 
 
 _TAGS = {StructNode: "struct", Feature: "feat", Relation: "rel", SegmentRef: "seg", Bracket: "brack", AltSet: "alt"}
@@ -318,12 +297,15 @@ def validate_structure(doc: GmtDocument) -> ValidationReport:
     return ValidationReport(tuple(_validate(doc, True, None)[0]))
 
 
-def _validate(doc: GmtDocument, structure: bool, check: Optional[Callable]) -> tuple[list[Finding], list[Finding]]:
+def _validate(
+    doc: GmtDocument, structure: bool, check: Optional[Callable], visit: Optional[Callable] = None
+) -> tuple[list[Finding], list[Finding]]:
     """The structure findings (if ``structure``) and the findings of ``check``, from one walk.
 
-    ``check`` takes a feature and returns its ``(code, message)``, or None.
+    ``check`` takes a feature and returns its ``(code, message)``, or None; it sees each distinct feature at
+    least once, nested and bundled ones included.  ``visit`` gets ``(frame, index, node)`` once per node.
     The walk goes in document order ("Element paths" in ``docs/formats.md``) and builds no paths:
-    a frame records the member it descends into, and :func:`_render` names findings.
+    a frame records the member it descends into, and :func:`_render` names findings and visited nodes.
     """
     findings: tuple[list[Finding], list[Finding]] = ([], [])
     seen_ids: set[str] = set()
@@ -347,6 +329,8 @@ def _validate(doc: GmtDocument, structure: bool, check: Optional[Callable]) -> t
                     found = memo[id(member)] = found + ((1, *problem),) if problem else found
                 inner = member.nested
             elif kind is StructNode:
+                if visit is not None:
+                    visit(frame, i, member)
                 found = None
                 if structure and member.id is not None:
                     if member.id == "":
@@ -468,31 +452,24 @@ def collect_referenced_ids(doc: GmtDocument) -> set[str]:
     feature targets and node ``ref`` attributes.
     """
     refs: set[str] = set()
-    for node in _nodes(doc):
+
+    def visit(frame: list, index: int, node: StructNode) -> None:
+        # Bundles hold only features and nodes, so a node's relations and segments are its bracketed items.
         if node.ref is not None:
             refs.add(node.ref)
-        # The node's items, with bracket and bundle members and nested features; _nodes yields the bundles' nodes.
-        stack = list(node.items)
-        while stack:
-            element = stack.pop()
-            kind = type(element)
-            if kind is Feature:
-                if element.target is not None:
-                    refs.add(element.target)
-                stack += element.nested or ()
-            elif kind is Relation:
-                refs.add(element.target)
+        for item in iter_items(node):
+            kind = type(item)
+            if kind is Relation:
+                refs.add(item.target)
             elif kind is SegmentRef:
-                addr = element.addr
+                addr = item.addr
                 if type(addr) is IdTargets:
                     refs.update(addr.ids)
                 elif type(addr) is LandmarkEndpoints:
                     refs.update((addr.start, addr.end))
-            elif kind is Bracket:
-                stack += element.members
-            elif kind is AltSet:
-                for bundle in element.alternatives:
-                    stack += bundle
+
+    # The check adds each feature's target and reports no problem.
+    _validate(doc, False, lambda feature: feature.target is not None and refs.add(feature.target), visit)
     return refs
 
 
@@ -526,10 +503,5 @@ def select_preferred_alternative(alts: AltSet) -> Bundle:
     """
     if not alts.alternatives:
         raise ValueError("empty alternative set")
-    best = alts.alternatives[0]
-    best_conf = bundle_confidence(best)
-    for bundle in alts.alternatives[1:]:
-        conf = bundle_confidence(bundle)
-        if conf > best_conf:
-            best, best_conf = bundle, conf
-    return best
+    # max keeps the first of equal maxima.
+    return max(alts.alternatives, key=bundle_confidence)

@@ -191,6 +191,28 @@ def test_convert_with_map_file(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["landmarks.xml", "questionAnnot.xml"]
 
 
+@pytest.mark.parametrize("doc_type", ["landmarkDesc", "landmarks"])
+def test_convert_refuses_a_layer_named_like_the_landmark_description(tmp_path, capsys, doc_type):
+    mapping = tmp_path / "map.tsv"
+    mapping.write_text(f"P\t{doc_type}\tphone\nW\tmorphAnnot\tsource\n")
+    out = tmp_path / "gmt"
+    out.mkdir()
+    assert main(["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", str(out), "--map", str(mapping)]) == 2
+    assert capsys.readouterr().err == "gmtannot: two documents would both be written to 'landmarks.xml'\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("doc_type", ["../escaped", "nul\0byte"])
+def test_convert_refuses_a_document_type_that_is_not_a_file_name(tmp_path, capsys, doc_type):
+    mapping = tmp_path / "map.tsv"
+    mapping.write_text(f"P\tphoneticAnnot\tphone\nW\t{doc_type}\tsource\n")
+    out = tmp_path / "gmt"
+    assert main(["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", str(out), "--map", str(mapping)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"gmtannot: document type {doc_type!r} does not name a file in the output directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.tsv"]
+
+
 # ---------------------------------------------------------------------------
 # resolve
 

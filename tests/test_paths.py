@@ -23,6 +23,7 @@ from gmtannot import (
     validate_categories,
     validate_structure,
 )
+from gmtannot.model import _nodes
 from path_oracle import referenced_ids, render_path, walk_elements
 from randgen import DocBuilder, deep_chain_text, deep_feature_text, deep_segless_text, random_document
 
@@ -226,10 +227,20 @@ def test_walk_keeps_its_node_paths():
         assert all(entry in walked for entry in legacy_walk_paths(doc))
 
 
+def deep_documents() -> list[GmtDocument]:
+    return [parse_gmt(make(DEPTH))[0] for make in (deep_chain_text, deep_segless_text, deep_feature_text)]
+
+
 def test_walk_is_the_node_view_of_walk_elements():
-    for doc in documents():
+    for doc in documents() + deep_documents():
         nodes = [(render_path(p), id(e)) for p, _, e in walk_elements(doc) if isinstance(e, StructNode)]
         assert [(path, id(node)) for path, node in doc.walk()] == nodes
+
+
+def test_nodes_is_the_node_sequence_of_walk():
+    # find_node keeps the first node of an id in _nodes' order, which must be document order.
+    for doc in documents() + deep_documents():
+        assert [id(node) for node in _nodes(doc)] == [id(node) for _, node in doc.walk()]
 
 
 def test_walk_elements_reports_owners():
@@ -283,8 +294,7 @@ def test_deep_chain_is_walked_validated_and_searched():
 
 
 def test_collect_referenced_ids_is_the_set_the_oracle_walk_collects():
-    deep = [parse_gmt(make(DEPTH))[0] for make in (deep_chain_text, deep_segless_text, deep_feature_text)]
-    for doc in documents() + deep:
+    for doc in documents() + deep_documents():
         assert collect_referenced_ids(doc) == referenced_ids(doc)
     # Each kind of reference sits inside a bracket and an alternative in some document, a feature target also
     # inside a nested feature, so that none of the places the collection descends into goes unchecked.
