@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 from .agraph import DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag
@@ -82,17 +83,22 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if len(args.inputs) != 1:
             raise _InputError("ag -> gmt takes exactly one input file")
         docs = ag_to_gmt(parse_ag(_read(args.inputs[0])), type_map)
-        # Every name is checked before any file is written, so a refused conversion writes nothing.
+        # Every name is checked and every document serialized before a file is written, so a refusal writes nothing.
         names = ["landmarks.xml" if doc.doc_type == LANDMARK_DESC_TYPE else f"{doc.doc_type}.xml" for doc in docs]
         for k, name in enumerate(names):
             if Path(name).name != name or "\0" in name:
                 raise _InputError(f"document type {docs[k].doc_type!r} does not name a file in the output directory")
             if name in names[:k]:
                 raise _InputError(f"two documents would both be written to {name!r}")
+        texts = [serialize_gmt(doc) for doc in docs]
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for doc, name in zip(docs, names):
-            (out_dir / name).write_text(serialize_gmt(doc), encoding="utf-8")
+        # Written in a directory of their own and moved into place only when all are, so an OSError leaves no file.
+        with tempfile.TemporaryDirectory(dir=out_dir, ignore_cleanup_errors=True) as staging:
+            for text, name in zip(texts, names):
+                Path(staging, name).write_text(text, encoding="utf-8")
+            for name in names:
+                Path(staging, name).replace(out_dir / name)
     else:
         landmark_doc = _load_document(args.inputs[0])
         layers = [_load_document(path) for path in args.inputs[1:]]

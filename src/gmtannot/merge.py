@@ -98,7 +98,7 @@ def anchor_key(node: StructNode) -> Optional[str]:
     Any other node is keyed by its type and its children's keys, folded bottom-up by
     :func:`_scan` on each call.
     """
-    return _scan(node)[0][0]
+    return _scan([node])[0][0]
 
 
 def _key(segs: list[SegmentRef]) -> str:
@@ -114,17 +114,15 @@ def _keep_anchor(node: StructNode, segs: list[SegmentRef]) -> tuple[str, str]:
     return anchor
 
 
-def _scan(root: StructNode, fold_root: bool = True) -> tuple[Optional[tuple], list[tuple]]:
-    """``(key, mode)`` of ``root`` and the list of those of its children, from one walk with an
-    explicit stack instead of recursion, which stops at nodes with segments.
+def _scan(nodes: list[StructNode]) -> list[tuple]:
+    """The ``(key, mode)`` of each node, from one walk with an explicit stack instead of recursion,
+    which stops at nodes with segments.
 
     ``key`` is the :func:`anchor_key` and ``mode`` the class name of the first segment's
-    addressing (None without segments).  A node without segments finishes after its children;
-    without ``fold_root``, a root without segments does not, and its ``(key, mode)`` is None.
+    addressing (None without segments).  A node without segments finishes after its children.
     """
     done: list[tuple] = []  # (key, mode) of each finished node, until its parent finishes
-    stack: list = [root]  # nodes to open, and (node, start of its children's results) to finish
-    children: list[tuple] = []
+    stack: list = nodes[::-1]  # nodes to open, and (node, start of its children's results) to finish
     while stack:
         node = stack.pop()
         if type(node) is tuple:
@@ -145,11 +143,9 @@ def _scan(root: StructNode, fold_root: bool = True) -> tuple[Optional[tuple], li
                 stack += reversed(node.children)
                 continue
             children = []
-        if not stack and not fold_root:  # the root, whose finish is the last
-            return None, children
         keys = sorted(k for k, _ in children if k is not None)
         done.append((f"node:{_escape(node.type or '')}:({';'.join(keys)})" if keys else None, None))
-    return done[0], children
+    return done
 
 
 def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tuple]]:
@@ -261,12 +257,9 @@ def merge(
         if doc.doc_type != doc_type:
             raise MergeError(f"mixed document types: {doc_type!r} and {doc.doc_type!r}")
     roots = [doc.root for doc in docs]
-    tops = [_scan(root, fold_root=False) for root in roots]  # each root's (key, mode) or None, with its children's
-    if any(top[0] for top in tops):
-        # The roots are annotation nodes themselves: align them like any other anchor group rather
-        # than treating them as containers.  Only here does a root without segments need its key.
-        summaries = [top or _scan(root)[0] for root, (top, _) in zip(roots, tops)]
-        merged = _merge_level(roots, summaries, policy, warnings)
+    if any(type(item) is SegmentRef for root in roots for item in iter_items(root)):
+        # The roots are annotation nodes themselves: align them like any other anchor group, not as containers.
+        merged = _merge_level(roots, policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
@@ -274,22 +267,19 @@ def merge(
     for root in roots:
         if policy.on_parallel == KEEP_ALL or root.items not in item_lists:
             item_lists.append(root.items)
-    children = [child for root in roots for child in root.children]
-    children = _merge_level(children, [summary for top in tops for summary in top[1]], policy, warnings)
+    children = _merge_level([child for root in roots for child in root.children], policy, warnings)
     items = tuple([item for root_items in item_lists for item in root_items])
     first = roots[0]
     return GmtDocument(StructNode(type=first.type, id=first.id, ref=first.ref, items=items, children=tuple(children)))
 
 
-def _merge_level(
-    nodes: list[StructNode], summaries: list[tuple], policy: MergePolicy, warnings: list[str]
-) -> list[StructNode]:
-    """Group nodes by the key of their ``(key, mode)`` summaries from :func:`_scan` and merge each group."""
+def _merge_level(nodes: list[StructNode], policy: MergePolicy, warnings: list[str]) -> list[StructNode]:
+    """Group nodes by the key of their ``(key, mode)`` from :func:`_scan` and merge each group."""
     # Each key's nodes and their addressing modes, in first-occurrence order.  A node without a key
     # is a group of one, keyed by its position, which _merge_group passes through.  A segless key's
     # mode is None, and its key starts with "node:", so None never mixes with a real mode.
     groups: dict[str | int, tuple[list[StructNode], set[Optional[str]]]] = {}
-    for position, (node, (key, mode)) in enumerate(zip(nodes, summaries)):
+    for position, (node, (key, mode)) in enumerate(zip(nodes, _scan(nodes))):
         if key is None:
             warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
             groups[position] = ([node], {None})
@@ -420,12 +410,10 @@ def diff(left: GmtDocument, right: GmtDocument) -> DiffReport:
 def _own_features(nodes: list[tuple]) -> dict[tuple[str, str], int]:
     """How often each ``(category, text)`` occurs among the nodes' items and bracket members."""
     counts: dict[tuple[str, str], int] = {}
-    items = [item for _, node in nodes for item in node.items]
-    for item in items:  # a bracket's members join the end: the order does not matter to a count
-        if isinstance(item, Bracket):
-            items += item.members
-        elif isinstance(item, Feature) and item.text is not None:
-            counts[item.cat, item.text] = counts.get((item.cat, item.text), 0) + 1
+    for _, node in nodes:
+        for item in iter_items(node):
+            if isinstance(item, Feature) and item.text is not None:
+                counts[item.cat, item.text] = counts.get((item.cat, item.text), 0) + 1
     return counts
 
 

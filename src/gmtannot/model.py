@@ -445,43 +445,23 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
     return index.get(node_id)
 
 
-def collect_referenced_ids(doc: GmtDocument) -> set[str]:
-    """Every identifier referenced anywhere in the document.
-
-    Covers segment targets, landmark endpoints, relation targets,
-    feature targets and node ``ref`` attributes.
-    """
-    refs: set[str] = set()
-
-    def visit(frame: list, index: int, node: StructNode) -> None:
-        # Bundles hold only features and nodes, so a node's relations and segments are its bracketed items.
-        if node.ref is not None:
-            refs.add(node.ref)
-        for item in iter_items(node):
-            kind = type(item)
-            if kind is Relation:
-                refs.add(item.target)
-            elif kind is SegmentRef:
-                addr = item.addr
-                if type(addr) is IdTargets:
-                    refs.update(addr.ids)
-                elif type(addr) is LandmarkEndpoints:
-                    refs.update((addr.start, addr.end))
-
-    # The check adds each feature's target and reports no problem.
-    _validate(doc, False, lambda feature: feature.target is not None and refs.add(feature.target), visit)
-    return refs
+def _decimal(text: str) -> Optional[Decimal]:
+    """The decimal, infinities included, spelled by ``text`` in ASCII without ``_`` (which ``Decimal`` would take
+    between digits) and with surrounding blanks ignored; None for a NaN or for text that is not a decimal."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        return None
+    return None if value.is_nan() else value
 
 
 def _finite_decimal(text: Optional[str]) -> Optional[Decimal]:
     """The finite decimal spelled by ``text`` (surrounding blanks ignored), or None."""
-    if text is None:
-        return None
-    try:
-        value = Decimal(text.strip())
-    except InvalidOperation:
-        return None
-    return value if value.is_finite() else None
+    value = None if text is None else _decimal(text)
+    return value if value is not None and value.is_finite() else None
 
 
 def bundle_confidence(bundle: Bundle) -> Decimal:

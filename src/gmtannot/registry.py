@@ -13,11 +13,11 @@ File format (UTF-8, ``#`` comments)::
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Optional, Union
 
 from .errors import RegistryError
-from .model import Feature, GmtDocument, Record, ValidationReport, _set, _validate
+from .model import Feature, GmtDocument, Record, ValidationReport, _decimal, _set, _validate
 
 
 class OpenText(Record):
@@ -156,11 +156,8 @@ def _parse_kind(value: str, lineno: int) -> ValueKind:
         lo_raw, sep, hi_raw = value[6:].partition("..")
         if not sep:
             raise RegistryError("range needs the form lo..hi", lineno)
-        try:
-            lo, hi = Decimal(lo_raw), Decimal(hi_raw)
-        except InvalidOperation:
-            lo = hi = Decimal("NaN")
-        if lo.is_nan() or hi.is_nan():
+        lo, hi = _decimal(lo_raw), _decimal(hi_raw)
+        if lo is None or hi is None:
             raise RegistryError(f"range bounds {value[6:]!r} are not decimals", lineno)
         if lo > hi:
             raise RegistryError("range lower bound exceeds upper bound", lineno)
@@ -229,11 +226,8 @@ def _check_feature(feat: Feature, registry: Registry) -> Optional[tuple[str, str
                 f"value {feat.text!r} is not one of {{{', '.join(kind.values)}}} for '{cat.name}'",
             )
         return None
-    try:
-        value = Decimal(feat.text.strip())
-    except InvalidOperation:
-        value = Decimal("NaN")
-    if value.is_nan():
+    value = _decimal(feat.text)
+    if value is None:
         return ("VALUE_NOT_DECIMAL", f"value {feat.text!r} is not a decimal for '{cat.name}'")
     if value < kind.lo or value > kind.hi:
         return (

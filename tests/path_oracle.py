@@ -15,8 +15,6 @@ from gmtannot.model import (
     Bracket,
     Feature,
     GmtDocument,
-    IdTargets,
-    LandmarkEndpoints,
     NodeItem,
     Relation,
     SegmentRef,
@@ -83,24 +81,3 @@ def render_path(path: ElementPath) -> str:
         parts.append(f"/{tag}[{position}]")
     return "".join(reversed(parts))
 
-
-def referenced_ids(doc: GmtDocument) -> set[str]:
-    """Every identifier an element of the document references, collected element by element."""
-    refs: set[str] = set()
-    for _, _, element in walk_elements(doc):
-        if isinstance(element, StructNode):
-            if element.ref is not None:
-                refs.add(element.ref)
-        elif isinstance(element, Feature):
-            if element.target is not None:
-                refs.add(element.target)
-        elif isinstance(element, Relation):
-            refs.add(element.target)
-        elif isinstance(element, SegmentRef):
-            addr = element.addr
-            if isinstance(addr, IdTargets):
-                refs.update(addr.ids)
-            elif isinstance(addr, LandmarkEndpoints):
-                refs.add(addr.start)
-                refs.add(addr.end)
-    return refs

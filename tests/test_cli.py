@@ -213,6 +213,19 @@ def test_convert_refuses_a_document_type_that_is_not_a_file_name(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.tsv"]
 
 
+def test_convert_that_fails_on_a_later_file_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    # No file system takes a 304-byte name, so the third file fails after two could have been written.
+    mapping = tmp_path / "map.tsv"
+    mapping.write_text(f"P\tphoneticAnnot\tphone\nW\t{'m' * 300}\tsource\n")
+    out = tmp_path / "gmt"
+    out.mkdir()
+    (out / "phoneticAnnot.xml").write_text("old")
+    assert main(["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", str(out), "--map", str(mapping)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gmtannot: ") and err.count("\n") == 1
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == [("phoneticAnnot.xml", "old")]
+
+
 # ---------------------------------------------------------------------------
 # resolve
 

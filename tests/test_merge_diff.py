@@ -252,6 +252,39 @@ def test_merge_of_anchored_roots_round_trips(policy):
     assert serialize_gmt(again) == text
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_root_whose_only_segment_is_in_a_bracket_is_aligned_as_an_anchored_root(policy):
+    noun, verb = (
+        StructNode(type="W-level", items=(Bracket((SegmentRef(IdTargets(("w1",))), Feature(cat="pos", text=pos))),))
+        for pos in ("NOUN", "VERB")
+    )
+    warnings: list[str] = []
+    merged = merge([GmtDocument(root) for root in (noun, noun, verb)], MergePolicy(policy), warnings)
+    # fold-alt keeps each root's bracket, its segment included, as extras beside three empty bundles.
+    folded = (AltSet(((Feature(cat="confidence", text="0"),),) * 3),) + tuple(
+        Bracket((root.items[0],)) for root in (noun, noun, verb)
+    )
+    assert merged.root == {
+        KEEP_ALL: StructNode(type="W-level", children=(noun, noun, verb)),
+        DEDUP_IDENTICAL: StructNode(type="W-level", children=(noun, verb)),
+        FOLD_TO_ALT: StructNode(type="W-level", items=folded),
+    }[policy]
+    assert warnings == []
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_segless_root_merged_with_an_anchored_root_is_keyed_by_its_children(policy):
+    anchored = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))), Feature(cat="pos", text="NOUN")))
+    segless = StructNode(type="W-level", children=(StructNode(type="morph", items=(SegmentRef(IdTargets(("w2",))),)),))
+    warnings: list[str] = []
+    merged = merge([GmtDocument(root) for root in (anchored, segless, segless)], MergePolicy(policy), warnings)
+    kept = (anchored, segless) if policy == DEDUP_IDENTICAL else (anchored, segless, segless)
+    assert merged.root == StructNode(type="W-level", children=kept)
+    # The two segless roots share their folded key, which fold-alt names when it keeps them as they are.
+    folded = "cannot fold nodes with children over anchor 'node:W%2Dlevel:(ids:w2)'; keeping all"
+    assert warnings == ([folded] if policy == FOLD_TO_ALT else [])
+
+
 def test_anchorless_nodes_pass_through_with_warning():
     bare = StructNode(type="W-level", items=(Feature(cat="lemma", text="x"),))
     doc = GmtDocument(StructNode(type="annot", children=(bare,)))
@@ -637,7 +670,7 @@ def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments(monkeypatc
     assert list(found) == ["span:0-1"] and [node.id for _, node in found["span:0-1"]] == ["leaf"]
     assert sum(map(len, found)) < 100
     # The merge's scan folds the same chain's key up to the root, escaping each segless node's type once.
-    assert _scan(doc.root)[0][0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
+    assert _scan([doc.root])[0][0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
 
 
 def _has_segments(node: StructNode) -> bool:

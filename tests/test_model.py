@@ -1,4 +1,4 @@
-"""Core model operations: validation, lookup, reference collection, alternatives."""
+"""Core model operations: validation, lookup, alternatives."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from gmtannot import (
     Relation,
     SegmentRef,
     StructNode,
-    collect_referenced_ids,
     find_node,
     parse_gmt,
     select_preferred_alternative,
@@ -225,77 +224,6 @@ def test_find_node_index_is_invisible_to_equality_hash_and_pickle():
 
 
 # ---------------------------------------------------------------------------
-# collect_referenced_ids
-
-
-def test_collect_referenced_ids_targets():
-    doc, _ = parse_gmt(load_fixture("syntactic_np.xml"))
-    assert collect_referenced_ids(doc) == {"w3.2", "w4"}
-
-
-def test_collect_referenced_ids_empty():
-    doc = GmtDocument(StructNode(type="MSAnnot", children=(StructNode(id="a"),)))
-    assert collect_referenced_ids(doc) == set()
-
-
-def test_collect_referenced_ids_matches_exhaustive_walk():
-    rng = random.Random(13)
-    for _ in range(20):
-        doc = random_document(rng)
-
-        # Oracle: brute-force accumulation over every item of every node.
-        expected: set[str] = set()
-
-        def eat_feature(feat: Feature) -> None:
-            if feat.target is not None:
-                expected.add(feat.target)
-            for sub in feat.nested or ():
-                eat_feature(sub)
-
-        def eat_items(items) -> None:
-            for item in items:
-                if isinstance(item, Feature):
-                    eat_feature(item)
-                elif isinstance(item, Relation):
-                    expected.add(item.target)
-                elif isinstance(item, SegmentRef):
-                    if isinstance(item.addr, IdTargets):
-                        expected.update(item.addr.ids)
-                    elif isinstance(item.addr, LandmarkEndpoints):
-                        expected.update((item.addr.start, item.addr.end))
-                elif isinstance(item, Bracket):
-                    eat_items(item.members)
-                elif isinstance(item, AltSet):
-                    for bundle in item.alternatives:
-                        for member in bundle:
-                            if isinstance(member, Feature):
-                                eat_feature(member)
-                            else:
-                                eat_node(member)
-
-        def eat_node(node: StructNode) -> None:
-            if node.ref is not None:
-                expected.add(node.ref)
-            eat_items(node.items)
-            for child in node.children:
-                eat_node(child)
-
-        eat_node(doc.root)
-        assert collect_referenced_ids(doc) == expected
-
-
-def test_collect_referenced_ids_is_monotone():
-    base = StructNode(type="W-level", items=(SegmentRef(IdTargets(("w1",))),))
-    grown = StructNode(
-        type="W-level",
-        items=(SegmentRef(IdTargets(("w1",))), Relation(target="n9")),
-    )
-    before = collect_referenced_ids(GmtDocument(base))
-    after = collect_referenced_ids(GmtDocument(grown))
-    assert before <= after
-
-
-# ---------------------------------------------------------------------------
 # select_preferred_alternative
 
 
@@ -363,6 +291,22 @@ def test_non_finite_confidence_is_bad_and_counts_as_zero(text):
     assert codes == ["BAD_CONFIDENCE"]
     assert bundle_confidence(bad) == 0
     assert select_preferred_alternative(AltSet((bad, good))) == good
+
+
+@pytest.mark.parametrize(
+    "text", ["0_1", "\u0661", "\uff11", " 1_0 "], ids=["underscore", "arabic-indic", "fullwidth", "blank-edged"]
+)
+def test_a_confidence_that_python_alone_would_read_is_bad_and_counts_as_zero(text):
+    # Decimal() takes "_" between digits and non-ASCII digits: each of these would read as 1 (or 10) and win.
+    odd = (Feature(cat="pos", text="VERB"), Feature(cat="confidence", text=text))
+    good = (Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text="0.9"))
+    doc = GmtDocument(StructNode(type="W-level", items=(AltSet((odd, good)),)))
+    finding = ("BAD_CONFIDENCE", "/struct[1]/alt[1]/feat[2]")
+    assert [(f.code, f.path) for f in validate_structure(doc).findings] == [finding]
+    with pytest.raises(GmtSerializeError):
+        serialize_gmt(doc)
+    assert bundle_confidence(odd) == 0
+    assert select_preferred_alternative(AltSet((odd, good))) == good
 
 
 def test_a_confidence_with_a_target_has_no_value_and_counts_as_zero():

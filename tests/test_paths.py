@@ -15,7 +15,6 @@ from gmtannot import (
     Relation,
     SegmentRef,
     StructNode,
-    collect_referenced_ids,
     default_registry,
     find_node,
     parse_gmt,
@@ -24,7 +23,7 @@ from gmtannot import (
     validate_structure,
 )
 from gmtannot.model import _nodes
-from path_oracle import referenced_ids, render_path, walk_elements
+from path_oracle import render_path, walk_elements
 from randgen import DocBuilder, deep_chain_text, deep_feature_text, deep_segless_text, random_document
 
 DEPTH = 3000
@@ -289,30 +288,7 @@ def test_deep_chain_is_walked_validated_and_searched():
     assert find_node(doc, "leaf").items[0] == Feature("pos", "NOUN")
     assert validate_structure(doc).findings == ()
     assert validate_categories(doc, default_registry()).findings == ()
-    assert collect_referenced_ids(doc) == {"leaf"}
     assert sum(1 for _ in walk_elements(doc)) == DEPTH + 4
-
-
-def test_collect_referenced_ids_is_the_set_the_oracle_walk_collects():
-    for doc in documents() + deep_documents():
-        assert collect_referenced_ids(doc) == referenced_ids(doc)
-    # Each kind of reference sits inside a bracket and an alternative in some document, a feature target also
-    # inside a nested feature, so that none of the places the collection descends into goes unchecked.
-    places = set()
-    for doc in documents():
-        for path, _, element in walk_elements(doc):
-            kind = type(element)
-            if kind is SegmentRef:
-                name = type(element.addr).__name__
-            elif kind is Relation or kind is StructNode and element.ref or kind is Feature and element.target:
-                name = kind.__name__
-            else:
-                continue
-            while path[0] is not None:
-                path = path[0]
-                places.add((name, path[1]))
-    kinds = ("StructNode", "Feature", "Relation", "IdTargets", "LandmarkEndpoints")
-    assert places >= {(name, tag) for name in kinds for tag in ("brack", "alt")} | {("Feature", "feat")}
 
 
 def test_every_feature_of_a_wide_node_is_named():

@@ -180,6 +180,19 @@ def test_confidence_nan_is_not_decimal(text):
     assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
 
 
+@pytest.mark.parametrize("text", ["0_5", "\u0661", "\uff10.5"], ids=["underscore", "arabic-indic", "fullwidth"])
+def test_a_range_value_that_python_alone_would_read_is_not_decimal(text):
+    doc = GmtDocument(StructNode(items=(Feature(cat="confidence", text=text),)))
+    report = validate_categories(doc, default_registry())
+    assert [f.code for f in report.findings] == ["VALUE_NOT_DECIMAL"]
+
+
+def test_a_range_may_be_unbounded():
+    reg = load_registry("a kind=range:-Infinity..Infinity\n")
+    doc = GmtDocument(StructNode(items=(Feature(cat="a", text="1E+999"), Feature(cat="a", text="-Inf"))))
+    assert validate_categories(doc, reg).findings == ()
+
+
 def test_closed_set_violation():
     doc = GmtDocument(StructNode(items=(Feature(cat="pos", text="ADJ"),)))
     report = validate_categories(doc, default_registry())
@@ -268,10 +281,13 @@ def test_reference_kind_expects_target():
         (lambda: load_registry("a parent=b\n"), "line 1: category 'a' has no kind"),
         (lambda: load_registry("a kind=range:0-1\n"), "line 1: range needs the form lo..hi"),
         (lambda: load_registry("a kind=range:x..y\n"), "line 1: range bounds 'x..y' are not decimals"),
+        (lambda: load_registry("a kind=range:0_1..1\n"), "line 1: range bounds '0_1..1' are not decimals"),
+        (lambda: load_registry("a kind=range:0..\u0661\n"), "line 1: range bounds '0..\u0661' are not decimals"),
+        (lambda: load_registry("a kind=range:-Infinity..nan\n"), "line 1: range bounds '-Infinity..nan' are not decimals"),
         (lambda: is_subcategory(default_registry(), "pos", "nope"), "unknown category 'nope'"),
     ],
     ids=["alias-clash", "malformed-token", "unknown-key", "no-kind", "range-without-dots", "range-not-decimal",
-         "unknown-ancestor"],
+         "range-underscore", "range-arabic-indic", "range-nan", "unknown-ancestor"],
 )
 def test_registry_error_paths(call, message):
     with pytest.raises(RegistryError) as exc:
