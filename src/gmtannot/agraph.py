@@ -29,6 +29,7 @@ from .model import (
     Record,
     SegmentRef,
     StructNode,
+    _data_lines,
     _leaf,
     _set,
     iter_items,
@@ -75,10 +76,7 @@ def load_type_map(text: str) -> dict[str, tuple[str, str]]:
     """Read a mapping table: ``att1Value<TAB>docType<TAB>payloadCat`` lines."""
     table: dict[str, tuple[str, str]] = {}
     doc_types: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 3 or not all(parts):
             raise BridgeError(f"line {lineno}: expected 'att1Value<TAB>docType<TAB>payloadCat'")

@@ -28,6 +28,7 @@ from .model import (
     Record,
     SegmentRef,
     StructNode,
+    _data_lines,
     _nodes,
     _set,
     find_node,
@@ -81,10 +82,7 @@ def load_token_index(text: str) -> TokenIndex:
     comment line; blank lines are ignored.
     """
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         parts = line.split("\t")
         if len(parts) != 3:
             raise TokenIndexError(f"line {lineno}: expected 'tokenId<TAB>start<TAB>end'")

@@ -7,9 +7,9 @@ annotation-graph, registry or token-index file that does not parse, or an
 input unusable before any work begins (a malformed ``--map`` table, a
 landmark description that yields no table for ``resolve --landmarks``,
 more than one graph for ``ag -> gmt``, or output file names for it that
-collide or are not plain names).  :func:`main` alone turns an error into
-an exit code and one ``gmtannot: ...`` line; any other exception is a bug
-and keeps its traceback.
+collide, are not plain names or are held by directories).  :func:`main`
+alone turns an error into an exit code and one ``gmtannot: ...`` line;
+any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -85,20 +85,25 @@ def cmd_convert(args: argparse.Namespace) -> int:
         docs = ag_to_gmt(parse_ag(_read(args.inputs[0])), type_map)
         # Every name is checked and every document serialized before a file is written, so a refusal writes nothing.
         names = ["landmarks.xml" if doc.doc_type == LANDMARK_DESC_TYPE else f"{doc.doc_type}.xml" for doc in docs]
+        out_dir = Path(args.output)
         for k, name in enumerate(names):
             if Path(name).name != name or "\0" in name:
                 raise _InputError(f"document type {docs[k].doc_type!r} does not name a file in the output directory")
             if name in names[:k]:
                 raise _InputError(f"two documents would both be written to {name!r}")
+            if (out_dir / name).is_dir():
+                raise _InputError(f"cannot write {out_dir / name}: it is a directory")
         texts = [serialize_gmt(doc) for doc in docs]
-        out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         # Written in a directory of their own and moved into place only when all are, so an OSError leaves no file.
         with tempfile.TemporaryDirectory(dir=out_dir, ignore_cleanup_errors=True) as staging:
-            for text, name in zip(texts, names):
-                Path(staging, name).write_text(text, encoding="utf-8")
-            for name in names:
-                Path(staging, name).replace(out_dir / name)
+            try:
+                for text, name in zip(texts, names):
+                    Path(staging, name).write_text(text, encoding="utf-8")
+                for name in names:
+                    Path(staging, name).replace(out_dir / name)
+            except OSError as exc:  # named by its output path: the staging directory is gone when this is read
+                raise OSError(exc.errno, exc.strerror, str(out_dir / name)) from None
     else:
         landmark_doc = _load_document(args.inputs[0])
         layers = [_load_document(path) for path in args.inputs[1:]]

@@ -331,13 +331,7 @@ def _validate(
             elif kind is StructNode:
                 if visit is not None:
                     visit(frame, i, member)
-                found = None
-                if structure and member.id is not None:
-                    if member.id == "":
-                        found = ((0, "EMPTY_ID", "node id must be non-empty"),)
-                    elif member.id in seen_ids:
-                        found = ((0, "DUPLICATE_ID", f"duplicate node id '{member.id}'"),)
-                    seen_ids.add(member.id)
+                found = structure and member.id is not None and _id_problems(member.id, seen_ids)
                 inner = member.items + member.children
             else:
                 # A segment with a single id is always well formed.
@@ -403,6 +397,14 @@ def _problems(element: Union[Feature, NodeItem], in_bundle: bool) -> tuple[tuple
     return tuple(problems)
 
 
+def _id_problems(node_id: str, seen: set[str]) -> tuple[tuple[int, str, str], ...]:
+    """``(0, code, message)`` if a node id is empty or among the ``seen`` ids of the walk, to which it is added."""
+    found = ((0, "EMPTY_ID", "node id must be non-empty"),) if not node_id else (
+        ((0, "DUPLICATE_ID", f"duplicate node id '{node_id}'"),) if node_id in seen else ())
+    seen.add(node_id)
+    return found
+
+
 def _render(frame: list, index: int, offset: int = 0) -> str:
     """The path of member ``index`` of an open frame, by the rules of "Element paths" in ``docs/formats.md``.
 
@@ -443,6 +445,11 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
             index.setdefault(node.id, node)
         _set(doc, "_node_index", index)
     return index.get(node_id)
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line of a line format that is neither blank nor a ``#`` comment."""
+    return ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.lstrip()[:1] not in ("", "#"))
 
 
 def _decimal(text: str) -> Optional[Decimal]:

@@ -17,7 +17,7 @@ from decimal import Decimal
 from typing import Optional, Union
 
 from .errors import RegistryError
-from .model import Feature, GmtDocument, Record, ValidationReport, _decimal, _set, _validate
+from .model import Feature, GmtDocument, Record, ValidationReport, _data_lines, _decimal, _set, _validate
 
 
 class OpenText(Record):
@@ -89,11 +89,8 @@ def load_registry(text: str) -> Registry:
     categories: dict[str, CategoryDef] = {}
     alias_owner: dict[str, str] = {}
     lines_by_name: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cat = _parse_line(stripped, lineno)
+    for lineno, line in _data_lines(text):
+        cat = _parse_line(line, lineno)
         if cat.name in categories:
             raise RegistryError(f"duplicate category '{cat.name}'", lineno)
         for alias in cat.aliases:

@@ -35,11 +35,12 @@ keeps its child nodes apart from its other members (see ``_Frame``).
 Frames and warnings hold UTF-8 byte indices while the parse runs; one
 pass after it turns the warnings' indices into lines and columns.
 
-The writer checks each element as it writes it, and reports the first
-``validate_structure`` error of a document it refuses.  Serialization is
-canonical: UTF-8 with an XML declaration, two-space indentation, fixed
-attribute order (type, id, ref, then addressing), single targets in
-fragment form (``target="#id"``), multiple targets as bare ids
+The writer checks each element as it writes it by the validators' rules
+(``model._problems``), and reports the first ``validate_structure``
+error of a document it refuses.  Serialization is canonical: UTF-8 with
+an XML declaration, two-space indentation, fixed attribute order (type,
+id, ref, then addressing), single targets in fragment form
+(``target="#id"``), multiple targets as bare ids
 (``targets="id1 id2"``), positional spans as startsAt/endsAt attributes
 and landmark spans as a ``<startsAt/>``/``<endsAt/>`` element pair.
 Tab, newline and carriage return in attribute values, and carriage
@@ -68,8 +69,9 @@ from .model import (
     Relation,
     SegmentRef,
     StructNode,
-    _finite_decimal,
+    _id_problems,
     _leaf,
+    _problems,
     validate_structure,
 )
 
@@ -476,8 +478,8 @@ class _Quoted(dict):
 def serialize_gmt(doc: GmtDocument) -> str:
     """Write a document in canonical GMT XML.
 
-    Each element is checked as it is written: a document with any
-    :func:`validate_structure` error is refused with the first of them.
+    Each element is checked as it is written, by the validators' rules: a
+    document with any :func:`validate_structure` error is refused with the first of them.
     """
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     seen_ids: set[str] = set()
@@ -485,7 +487,7 @@ def serialize_gmt(doc: GmtDocument) -> str:
     # A text feature's line without its indent, by (category, text): equal features of separately read layers
     # are distinct objects, and a key by value costs no more than one by id(feature).
     text_lines: dict[tuple[str, str], str] = {}
-    confidences: set[str] = set()  # the bundle confidence texts found to be decimals in [0, 1]
+    confidences: set[str] = set()  # the bundle confidence texts that _problems accepts
     # A frame: the values to write, their indentation, the closing line of their element (None
     # for an alternative set, whose bundles are the elements) and whether they form a bundle.
     stack: list[tuple[Iterator, str, Optional[str], bool]] = [(iter((doc.root,)), "", None, False)]
@@ -494,33 +496,28 @@ def serialize_gmt(doc: GmtDocument) -> str:
         for value in values:
             cls = type(value)
             if cls is Feature:
-                if in_bundle and value.cat == CONFIDENCE_CAT and value.text not in confidences:
-                    confidence = _finite_decimal(value.text)
-                    if confidence is None or not 0 <= confidence <= 1:
-                        _refuse(doc)
-                    confidences.add(value.text)
-                if value.target is not None:
-                    if value.text is not None or value.nested is not None:
-                        _refuse(doc)
-                    lines.append(f"{pad}<feat type={quoted[value.cat]} target={quoted['#' + value.target]}/>")
-                    continue
-                if value.nested is None:
-                    if value.text is None:
-                        _refuse(doc)
+                if value.text is not None and value.nested is None and value.target is None:
+                    # The one rule for a text leaf is a bundle's confidence, asked about once per distinct text.
+                    if in_bundle and value.cat == CONFIDENCE_CAT and value.text not in confidences:
+                        if _problems(value, True):
+                            _refuse(doc)
+                        confidences.add(value.text)
                     line = text_lines.get((value.cat, value.text))
                     if line is None:
                         line = text_lines[value.cat, value.text] = f"<feat type={quoted[value.cat]}>{_content(value.text)}</feat>"
                     lines.append(pad + line)
                     continue
-                if value.text is not None or not value.nested:
+                if _problems(value, in_bundle):
                     _refuse(doc)
+                if value.target is not None:
+                    lines.append(f"{pad}<feat type={quoted[value.cat]} target={quoted['#' + value.target]}/>")
+                    continue
                 tag, attrs, content = "feat", f" type={quoted[value.cat]}", value.nested
             elif cls is StructNode:
                 attrs = f" type={quoted[value.type]}" if value.type is not None else ""
                 if value.id is not None:
-                    if not value.id or value.id in seen_ids:
+                    if _id_problems(value.id, seen_ids):
                         _refuse(doc)
-                    seen_ids.add(value.id)
                     attrs += f" id={quoted[value.id]}"
                 if value.ref is not None:
                     attrs += f" ref={quoted['#' + value.ref]}"
@@ -532,28 +529,25 @@ def serialize_gmt(doc: GmtDocument) -> str:
                     target = addr.ids[0]
                     quote = f'"#{target}"' if _ATTR_SPECIALS.isdisjoint(target) else quoted["#" + target]
                     lines.append(f"{pad}<seg target={quote}/>")
-                elif mode is IdTargets:
-                    ids = addr.ids
-                    if not ids or len(set(ids)) < len(ids) or any(t.split() != [t] or t.startswith("#") for t in ids):
-                        _refuse(doc)
-                    lines.append(f"{pad}<seg targets={quoted[' '.join(ids)]}/>")
-                elif mode is PositionalSpan:
-                    if not 0 <= addr.start <= addr.end:
-                        _refuse(doc)
-                    lines.append(f"{pad}<seg startsAt={quoted[str(addr.start)]} endsAt={quoted[str(addr.end)]}/>")
-                else:
+                elif mode is LandmarkEndpoints:  # no rule applies to this shape or the one above, so neither is asked
                     lines.append(f"{pad}<startsAt target={quoted['#' + addr.start]}/>")
                     lines.append(f"{pad}<endsAt target={quoted['#' + addr.end]}/>")
+                elif _problems(value, False):
+                    _refuse(doc)
+                elif mode is IdTargets:
+                    lines.append(f"{pad}<seg targets={quoted[' '.join(addr.ids)]}/>")
+                else:
+                    lines.append(f"{pad}<seg startsAt={quoted[str(addr.start)]} endsAt={quoted[str(addr.end)]}/>")
                 continue
             elif cls is AltSet:
-                if len(value.alternatives) < 2:
+                if _problems(value, False):
                     _refuse(doc)
                 stack.append((iter(value.alternatives), pad, None, False))
                 break
             elif cls is tuple:  # one bundle of an alternative set
                 tag, attrs, content = "alt", "", value
             elif cls is Relation:
-                if not value.target:
+                if _problems(value, False):
                     _refuse(doc)
                 type_part = f" type={quoted[value.rel_type]}" if value.rel_type is not None else ""
                 lines.append(f"{pad}<rel{type_part} target={quoted['#' + value.target]}/>")

@@ -226,6 +226,37 @@ def test_convert_that_fails_on_a_later_file_leaves_the_output_directory_as_it_wa
     assert [(p.name, p.read_text()) for p in out.iterdir()] == [("phoneticAnnot.xml", "old")]
 
 
+def _listing(root: Path) -> list[tuple[str, str | None]]:
+    """Every path under ``root`` with a file's text, for comparing a directory before and after a command."""
+    return sorted((str(p.relative_to(root)), p.read_text() if p.is_file() else None) for p in root.rglob("*"))
+
+
+def test_convert_refuses_an_output_name_held_by_a_directory_and_moves_nothing(tmp_path, capsys):
+    out = tmp_path / "gmt"
+    (out / "phoneticAnnot.xml").mkdir(parents=True)
+    (out / "phoneticAnnot.xml" / "keep.txt").write_text("kept")
+    (out / "landmarks.xml").write_text("old")
+    before = _listing(out)
+    assert main(["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"gmtannot: cannot write {out / 'phoneticAnnot.xml'}: it is a directory\n"
+    assert _listing(out) == before
+
+
+@pytest.mark.parametrize("made", [True, False], ids=["existing-output", "new-output"])
+def test_convert_names_the_output_path_of_a_file_it_cannot_write(tmp_path, capsys, made):
+    mapping = tmp_path / "map.tsv"
+    mapping.write_text(f"P\tphoneticAnnot\tphone\nW\t{'m' * 300}\tsource\n")
+    out = tmp_path / "gmt"
+    if made:
+        out.mkdir()
+    assert main(["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", str(out), "--map", str(mapping)]) == 2
+    err = capsys.readouterr().err
+    # Not the staging directory inside the output directory, which is gone by the time the line is read.
+    assert err.startswith("gmtannot: ") and err.endswith(f": '{out / ('m' * 300 + '.xml')}'\n")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # resolve
 

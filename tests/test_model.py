@@ -13,6 +13,7 @@ import pytest
 from gmtannot import (
     AltSet,
     Bracket,
+    BridgeError,
     Feature,
     GmtDocument,
     GmtSerializeError,
@@ -21,8 +22,13 @@ from gmtannot import (
     PositionalSpan,
     Relation,
     SegmentRef,
+    RegistryError,
     StructNode,
+    TokenIndexError,
     find_node,
+    load_registry,
+    load_token_index,
+    load_type_map,
     parse_gmt,
     select_preferred_alternative,
     serialize_gmt,
@@ -496,3 +502,22 @@ def test_selection_compares_written_confidences_and_validation_reports_the_range
 def test_select_on_an_empty_alternative_set_is_refused():
     with pytest.raises(ValueError, match="^empty alternative set$"):
         select_preferred_alternative(AltSet(()))
+
+
+# The three line formats with one good line, one bad line, the error the bad line raises and a view of a result.
+LINE_FORMATS = [
+    (load_token_index, "w1\t0\t4", "w1\tx\t4", TokenIndexError, lambda index: index.entries),
+    (load_type_map, "P\tphoneticAnnot\tphone", "P\tphoneticAnnot", BridgeError, lambda table: table),
+    (load_registry, "pos kind=open", "pos kind=wat", RegistryError, lambda registry: registry.categories),
+]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("load, good, bad, error, view", LINE_FORMATS, ids=["tokens", "map", "registry"])
+def test_line_formats_skip_blank_and_comment_lines_alike(load, good, bad, error, view, end):
+    skipped = ["", "   ", "# x", "  # x"]
+    assert view(load(end.join(skipped + [good] + skipped) + end)) == view(load(good + "\n"))
+    assert view(load(end.join(skipped) + end)) == view(load(""))
+    # Error line numbers count the skipped lines.
+    with pytest.raises(error, match="^line 5: "):
+        load(end.join(skipped + [bad, good]) + end)

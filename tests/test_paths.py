@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from gmtannot import (
     AltSet,
     Bracket,
     Feature,
     GmtDocument,
+    GmtSerializeError,
     IdTargets,
     PositionalSpan,
     Registry,
@@ -309,3 +312,23 @@ def test_deep_chain_serializes_to_its_canonical_text():
     text = deep_chain_text(DEPTH)
     doc, _ = parse_gmt(text)
     assert serialize_gmt(doc) == text
+
+
+def test_writer_refuses_a_faulty_document_exactly_when_validate_structure_reports_an_error():
+    # Several faults at once, nested in bundles and brackets: the writer asks the validators' rules element by
+    # element, and its refusal still names the first error of validate_structure.
+    rng = random.Random(24)
+    docs = [faulty_document(rng) for _ in range(200)] + [shared_document(), nested_alt_document()]
+    refused = 0
+    for doc in docs:
+        errors = validate_structure(doc).errors
+        if not errors:
+            again, _ = parse_gmt(serialize_gmt(doc))
+            assert again == doc
+            continue
+        with pytest.raises(GmtSerializeError) as exc:
+            serialize_gmt(doc)
+        first = errors[0]
+        assert str(exc.value) == f"invalid document: {first.code} at {first.path}: {first.message}"
+        refused += 1
+    assert 0 < refused < len(docs)
