@@ -30,6 +30,7 @@ from .model import (
     SegmentRef,
     StructNode,
     _data_lines,
+    _integer,
     _leaf,
     _set,
     iter_items,
@@ -122,10 +123,9 @@ def parse_ag(text: str) -> AnnotationGraph:
         offset_raw = el.get("offset")
         if node_id is None or offset_raw is None:
             raise AgParseError(f"arc {position}: <{tag}> needs both id and offset")
-        try:
-            offset = int(offset_raw)
-        except ValueError:
-            raise AgParseError(f"arc {position}: offset {offset_raw!r} is not an integer") from None
+        offset = _integer(offset_raw)
+        if offset is None:
+            raise AgParseError(f"arc {position}: offset {offset_raw!r} is not an integer")
         if offset < 0:
             raise AgParseError(f"arc {position}: offset must be non-negative")
         if node_id in nodes and nodes[node_id] != offset:

@@ -29,6 +29,7 @@ from .model import (
     SegmentRef,
     StructNode,
     _data_lines,
+    _integer,
     _nodes,
     _set,
     find_node,
@@ -87,10 +88,9 @@ def load_token_index(text: str) -> TokenIndex:
         if len(parts) != 3:
             raise TokenIndexError(f"line {lineno}: expected 'tokenId<TAB>start<TAB>end'")
         token_id, start_raw, end_raw = (p.strip() for p in parts)
-        try:
-            start, end = int(start_raw), int(end_raw)
-        except ValueError:
-            raise TokenIndexError(f"line {lineno}: offsets must be integers") from None
+        start, end = _integer(start_raw), _integer(end_raw)
+        if start is None or end is None:
+            raise TokenIndexError(f"line {lineno}: offsets must be integers")
         if not token_id:
             raise TokenIndexError(f"line {lineno}: empty token id")
         entries.append(Token(token_id, start, end))
@@ -138,12 +138,11 @@ def build_landmark_table(doc: GmtDocument) -> LandmarkTable:
                 break
         if position is None:
             raise AnchorError(f"landmark '{node.id}' at {_node_path(doc, count)} has no position feature")
-        try:
-            value = int(position)
-        except ValueError:
+        value = _integer(position)
+        if value is None:
             raise AnchorError(
                 f"landmark '{node.id}' at {_node_path(doc, count)}: position {position!r} is not an integer"
-            ) from None
+            )
         if value < 0:
             raise AnchorError(f"landmark '{node.id}' at {_node_path(doc, count)}: position must be non-negative")
         if node.id in table:

@@ -98,7 +98,7 @@ def anchor_key(node: StructNode) -> Optional[str]:
     Any other node is keyed by its type and its children's keys, folded bottom-up by
     :func:`_scan` on each call.
     """
-    return _scan([node])[0][0]
+    return _scan([node])[0]
 
 
 def _key(segs: list[SegmentRef]) -> str:
@@ -106,22 +106,19 @@ def _key(segs: list[SegmentRef]) -> str:
     return seg_key(segs[0]) if len(segs) == 1 else "&".join(sorted(map(seg_key, segs)))
 
 
-def _keep_anchor(node: StructNode, segs: list[SegmentRef]) -> tuple[str, str]:
-    """``(key, mode)`` of a node with segments, kept in its ``_anchor`` slot: nodes are immutable, so it never
+def _keep_anchor(node: StructNode, segs: list[SegmentRef]) -> str:
+    """The key of a node with segments, kept in its ``_anchor`` slot: nodes are immutable, so it never
     goes stale.  Segless nodes keep nothing, as their folded keys grow with their depth."""
-    anchor = (_key(segs), type(segs[0].addr).__name__)
-    _set(node, "_anchor", anchor)
-    return anchor
+    key = _key(segs)
+    _set(node, "_anchor", key)
+    return key
 
 
-def _scan(nodes: list[StructNode]) -> list[tuple]:
-    """The ``(key, mode)`` of each node, from one walk with an explicit stack instead of recursion,
-    which stops at nodes with segments.
-
-    ``key`` is the :func:`anchor_key` and ``mode`` the class name of the first segment's
-    addressing (None without segments).  A node without segments finishes after its children.
+def _scan(nodes: list[StructNode]) -> list[Optional[str]]:
+    """The :func:`anchor_key` of each node, from one walk with an explicit stack instead of recursion,
+    which stops at nodes with segments.  A node without segments finishes after its children.
     """
-    done: list[tuple] = []  # (key, mode) of each finished node, until its parent finishes
+    done: list[Optional[str]] = []  # the key of each finished node, until its parent finishes
     stack: list = nodes[::-1]  # nodes to open, and (node, start of its children's results) to finish
     while stack:
         node = stack.pop()
@@ -143,8 +140,8 @@ def _scan(nodes: list[StructNode]) -> list[tuple]:
                 stack += reversed(node.children)
                 continue
             children = []
-        keys = sorted(k for k, _ in children if k is not None)
-        done.append((f"node:{_escape(node.type or '')}:({';'.join(keys)})" if keys else None, None))
+        keys = sorted(k for k in children if k is not None)
+        done.append(f"node:{_escape(node.type or '')}:({';'.join(keys)})" if keys else None)
     return done
 
 
@@ -224,7 +221,7 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
             children = tuple(sorted(taken[len(taken) - len(element.children):]))
         fingerprint = intern((element.type or "", tuple(sorted(ids)), children), len(table))
         if segs:
-            key = (getattr(element, "_anchor", None) or _keep_anchor(element, segs))[0]
+            key = getattr(element, "_anchor", None) or _keep_anchor(element, segs)
             found.setdefault(key, []).append((fingerprint, element))
         done.append(-1 if segs else fingerprint)
     return found
@@ -246,8 +243,7 @@ def merge(
     policy's call.  When the roots themselves carry segments they are
     aligned as one such group: a single resulting node is the merged
     root, and several become the children of a container root of the
-    document type.  Mixed document types and mixed addressing modes for
-    one anchor key are errors.
+    document type.  Mixed document types are an error.
     """
     if not docs:
         raise MergeError("nothing to merge")
@@ -274,27 +270,21 @@ def merge(
 
 
 def _merge_level(nodes: list[StructNode], policy: MergePolicy, warnings: list[str]) -> list[StructNode]:
-    """Group nodes by the key of their ``(key, mode)`` from :func:`_scan` and merge each group."""
-    # Each key's nodes and their addressing modes, in first-occurrence order.  A node without a key
-    # is a group of one, keyed by its position, which _merge_group passes through.  A segless key's
-    # mode is None, and its key starts with "node:", so None never mixes with a real mode.
-    groups: dict[str | int, tuple[list[StructNode], set[Optional[str]]]] = {}
-    for position, (node, (key, mode)) in enumerate(zip(nodes, _scan(nodes))):
+    """Group nodes by their :func:`anchor_key`, in first-occurrence order, and merge each group."""
+    # A node without a key is a group of one, keyed by its position, which _merge_group passes through.
+    groups: dict[str | int, list[StructNode]] = {}
+    for position, (node, key) in enumerate(zip(nodes, _scan(nodes))):
         if key is None:
             warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
-            groups[position] = ([node], {None})
+            groups[position] = [node]
         elif key in groups:
-            group, group_modes = groups[key]
-            group.append(node)
-            group_modes.add(mode)
-        else:  # the containers are built only here: one pair per key, not per node
-            groups[key] = ([node], {mode})
+            groups[key].append(node)
+        else:
+            groups[key] = [node]
     out: list[StructNode] = []
     # What fold-alt appends to each bundle without a confidence: one immutable feature they all share.
     filler = (Feature(cat=CONFIDENCE_CAT, text=str(policy.alt_confidence_fill)),)
-    for key, (group, group_modes) in groups.items():
-        if len(group_modes) > 1:
-            raise MergeError(f"anchor {key!r} is addressed through mixed modes: {sorted(group_modes)}")
+    for key, group in groups.items():
         out.extend(_merge_group(group, key, policy, filler, warnings))
     return out
 

@@ -176,7 +176,7 @@ NodeItem = Union[Feature, AltSet, Relation, SegmentRef, Bracket]
 class StructNode(Record):
     """A structural node of the annotation; may nest recursively.
 
-    ``_anchor`` keeps a node's ``(key, mode)`` from :mod:`gmtannot.merge` once computed, if it carries segments.
+    ``_anchor`` keeps a node's anchor key from :mod:`gmtannot.merge` once computed, if it carries segments.
     """
     __slots__ = ("type", "id", "ref", "items", "children", "_anchor")
 
@@ -463,6 +463,18 @@ def _decimal(text: str) -> Optional[Decimal]:
     except InvalidOperation:
         return None
     return None if value.is_nan() else value
+
+
+def _integer(text: str) -> Optional[int]:
+    """The integer, sign allowed, spelled by ``text`` in ASCII digits without ``_`` and with surrounding blanks
+    ignored; None for other text, including digit strings past ``int``'s conversion limit."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def _finite_decimal(text: Optional[str]) -> Optional[Decimal]:

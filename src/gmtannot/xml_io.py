@@ -70,6 +70,7 @@ from .model import (
     SegmentRef,
     StructNode,
     _id_problems,
+    _integer,
     _leaf,
     _problems,
     validate_structure,
@@ -360,11 +361,8 @@ class _GmtBuilder:
         return attrs.get(name, attrs.get(synonym))
 
     def _offset(self, raw: str) -> int:
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            value = -1
-        if value < 0:
+        value = _integer(raw)
+        if value is None or value < 0:
             self._fail(f"offset must be a non-negative integer, got {raw!r}")
         return value
 

@@ -144,17 +144,25 @@ def test_merge_policy_refuses_a_fill_outside_the_unit_interval_with_value_error(
         MergePolicy(FOLD_TO_ALT, alt_confidence_fill=Decimal(fill))
 
 
-def test_merge_rejects_mixed_addressing_modes_for_one_anchor():
+@pytest.mark.parametrize("policy", POLICIES)
+def test_merge_groups_nodes_whose_segments_differ_only_in_order(policy):
+    # The anchor key sorts a node's segments, so both nodes address one anchor, for merge as for diff.
     span = SegmentRef(PositionalSpan(0, 5))
     ids = SegmentRef(IdTargets(("w1",)))
-    a = GmtDocument(
-        StructNode(type="annot", children=(StructNode(type="W-level", items=(ids, span)),))
-    )
-    b = GmtDocument(
-        StructNode(type="annot", children=(StructNode(type="W-level", items=(span, ids)),))
-    )
-    with pytest.raises(MergeError, match="mixed modes"):
-        merge([a, b])
+    noun = Feature(cat="pos", text="NOUN")
+    first = StructNode(type="W-level", items=(ids, span, noun))
+    second = StructNode(type="W-level", items=(span, ids, noun))
+    a = GmtDocument(StructNode(type="annot", children=(first,)))
+    b = GmtDocument(StructNode(type="annot", children=(second,)))
+    warnings: list[str] = []
+    merged = merge([a, b], MergePolicy(policy), warnings)
+    assert warnings == []
+    if policy == FOLD_TO_ALT:
+        bundle = (noun, Feature(cat="confidence", text="0"))
+        assert merged.root.children == (StructNode(type="W-level", items=(ids, span, AltSet((bundle, bundle)))),)
+    else:  # dedup keeps both: their items differ in order
+        assert merged.root.children == (first, second)
+    assert diff(a, b).entries == (DiffEntry("ids:w1&span:0-5", BOTH_EQUAL, ""),)
 
 
 def test_keep_all_conserves_features():
@@ -670,7 +678,7 @@ def test_a_scan_with_a_table_builds_no_key_for_nodes_without_segments(monkeypatc
     assert list(found) == ["span:0-1"] and [node.id for _, node in found["span:0-1"]] == ["leaf"]
     assert sum(map(len, found)) < 100
     # The merge's scan folds the same chain's key up to the root, escaping each segless node's type once.
-    assert _scan([doc.root])[0][0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
+    assert _scan([doc.root])[0].startswith("node:chain:(node:chain:(") and len(escaped) == 3000
 
 
 def _has_segments(node: StructNode) -> bool:
@@ -681,7 +689,7 @@ def test_a_kept_anchor_is_invisible_to_equality_hash_repr_and_copies():
     doc, fresh = (parse_gmt(load_fixture("msannot_sentence.xml"))[0] for _ in range(2))
     diff(doc, doc)
     node, twin = doc.root.children[0], fresh.root.children[0]
-    assert node._anchor == ("ids:w1", "IdTargets") and not hasattr(twin, "_anchor")
+    assert node._anchor == "ids:w1" and not hasattr(twin, "_anchor")
     assert node == twin and hash(node) == hash(twin) and repr(node) == repr(twin)
     for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node), replace(node)):
         assert copied == node and not hasattr(copied, "_anchor")
@@ -713,7 +721,7 @@ def test_keyed_documents_give_what_fresh_copies_give():
         rng.shuffle(warm_up)
         for call in warm_up:
             call(left, right)
-        # Every node with segments, and no other, now keeps its (key, mode).
+        # Every node with segments, and no other, now keeps its key.
         assert all(hasattr(node, "_anchor") == _has_segments(node) for doc in (left, right) for _, node in doc.walk())
         for call in calls:
             assert call(left, right) == call(*copy.deepcopy((left, right)))
@@ -769,24 +777,48 @@ def container(*children: StructNode) -> GmtDocument:
 W1, LM, SPAN = IdTargets(("w1",)), LandmarkEndpoints("a", "b"), PositionalSpan(0, 4)
 
 
-def test_fold_raises_on_three_modes_after_warning_on_an_earlier_group():
-    # One key, three first-segment addressing modes; the w9 group comes first
-    # and has a node with children, so fold-alt warns before it fails.
+def test_fold_folds_three_segment_orders_after_warning_on_an_earlier_group():
+    # One key, its three segments listed in three orders; the w9 group comes
+    # first and has a node with children, so fold-alt warns and keeps it whole.
     w9 = IdTargets(("w9",))
     nested = anchored(w9, children=(anchored(IdTargets(("w8",))),))
+    plain_w9 = anchored(w9, pos="N")
     docs = [
         container(nested, anchored(W1, LM, SPAN, pos="N")),
-        container(anchored(w9, pos="N"), anchored(LM, SPAN, W1, pos="V")),
+        container(plain_w9, anchored(LM, SPAN, W1, pos="V")),
         container(anchored(SPAN, W1, LM, pos="A")),
     ]
     warnings: list[str] = []
-    with pytest.raises(MergeError) as exc:
-        merge(docs, MergePolicy(FOLD_TO_ALT), warnings)
-    assert str(exc.value) == (
-        "anchor 'ids:w1&lm:a-b&span:0-4' is addressed through mixed modes: "
-        "['IdTargets', 'LandmarkEndpoints', 'PositionalSpan']"
-    )
+    merged = merge(docs, MergePolicy(FOLD_TO_ALT), warnings)
     assert warnings == ["cannot fold nodes with children over anchor 'ids:w9'; keeping all"]
+    zero = Feature(cat="confidence", text="0")
+    bundles = tuple((Feature(cat="pos", text=pos), zero) for pos in "NVA")
+    segments = tuple(SegmentRef(addr) for addr in (W1, LM, SPAN))
+    folded = StructNode(type="W-level", items=segments + (AltSet(bundles),))
+    assert merged.root.children == (nested, plain_w9, folded)
+
+
+def test_segment_reversed_copies_form_one_group_per_diff_key_under_every_policy():
+    # Two-segment nodes of two distinct addressing kinds, against copies with their segments
+    # reversed, so the first segment's kind always differs between a node and its copy.
+    rng = random.Random(25)
+    kinds = [
+        lambda: IdTargets((rng.choice(["w1", "w2", "w3"]),)),
+        lambda: PositionalSpan(rng.randint(0, 3), rng.randint(4, 6)),
+        lambda: LandmarkEndpoints(rng.choice("ab"), rng.choice("cd")),
+    ]
+    for _ in range(200):
+        nodes = [anchored(*(kind() for kind in rng.sample(kinds, 2)), pos=rng.choice("NV"))
+                 for _ in range(rng.randint(1, 4))]
+        copies = [replace(node, items=node.items[1::-1] + node.items[2:]) for node in nodes]
+        left, right = container(*nodes), container(*rng.sample(copies, len(copies)))
+        keys = [entry.anchor for entry in diff(left, right).entries]
+        for policy in POLICIES:
+            children = merge([left, right], MergePolicy(policy)).root.children
+            # Each key's nodes come out side by side: one run of equal keys per group.
+            assert sorted(key for key, _ in itertools.groupby(map(anchor_key, children))) == keys
+            if policy == FOLD_TO_ALT:
+                assert len(children) == len(keys)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -11,11 +11,14 @@ from decimal import Decimal
 import pytest
 
 from gmtannot import (
+    AgParseError,
     AltSet,
+    AnchorError,
     Bracket,
     BridgeError,
     Feature,
     GmtDocument,
+    GmtParseError,
     GmtSerializeError,
     IdTargets,
     LandmarkEndpoints,
@@ -25,10 +28,12 @@ from gmtannot import (
     RegistryError,
     StructNode,
     TokenIndexError,
+    build_landmark_table,
     find_node,
     load_registry,
     load_token_index,
     load_type_map,
+    parse_ag,
     parse_gmt,
     select_preferred_alternative,
     serialize_gmt,
@@ -313,6 +318,49 @@ def test_a_confidence_that_python_alone_would_read_is_bad_and_counts_as_zero(tex
         serialize_gmt(doc)
     assert bundle_confidence(odd) == 0
     assert select_preferred_alternative(AltSet((odd, good))) == good
+
+
+def _landmark_position(text: str) -> int:
+    landmark = StructNode(type="landmark", id="a", items=(Feature(cat="position", text=text),))
+    return build_landmark_table(GmtDocument(StructNode(type="landmarkDesc", children=(landmark,))))["a"]
+
+
+# Each reader of an integer in a file format: how it reads one, what it raises, and its message.
+INTEGER_READERS = {
+    "gmt-offset": (
+        lambda text: parse_gmt(f'<struct type="W"><seg startsAt="{text}" endsAt="{text}"/></struct>')[0]
+        .root.items[0].addr.start,
+        GmtParseError, "offset must be a non-negative integer",
+    ),
+    "token-offset": (
+        lambda text: load_token_index(f"w1\t{text}\t{text}\n").entries[0].start,
+        TokenIndexError, "line 1: offsets must be integers",
+    ),
+    "landmark-position": (_landmark_position, AnchorError, "is not an integer"),
+    "graph-offset": (
+        lambda text: parse_ag(
+            f'<annotation><arc><source id="0" offset="{text}"/><label a="b"/><target id="1" offset="{text}"/></arc>'
+            "</annotation>"
+        ).nodes["0"],
+        AgParseError, "arc 1: offset .* is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1_0", None), ("\u0663", None), ("\uff12\uff10", None), ("9" * 5000, None), (" 7 ", 7), ("+5", 5)],
+    ids=["underscore", "arabic-indic", "fullwidth", "5000-digits", "blank-edged", "plus-sign"],
+)
+@pytest.mark.parametrize("reader", INTEGER_READERS)
+def test_every_integer_reader_takes_ascii_digits_only(reader, text, value):
+    # int() alone takes "_" between digits and non-ASCII digits, and raises past 4,300 digits.
+    read, error, message = INTEGER_READERS[reader]
+    if value is None:
+        with pytest.raises(error, match=message):
+            read(text)
+    else:
+        assert read(text) == value
 
 
 def test_a_confidence_with_a_target_has_no_value_and_counts_as_zero():
