@@ -38,9 +38,10 @@ pass after it turns the warnings' indices into lines and columns.
 The writer checks each element as it writes it by the validators' rules
 (``model._problems``), and reports the first ``validate_structure``
 error of a document it refuses.  Serialization is canonical: UTF-8 with
-an XML declaration, two-space indentation, fixed attribute order (type,
-id, ref, then addressing), single targets in fragment form
-(``target="#id"``), multiple targets as bare ids
+an XML declaration, two-space indentation that stops growing at 128
+levels (256 spaces), so the output grows linearly with nesting depth,
+fixed attribute order (type, id, ref, then addressing), single targets
+in fragment form (``target="#id"``), multiple targets as bare ids
 (``targets="id1 id2"``), positional spans as startsAt/endsAt attributes
 and landmark spans as a ``<startsAt/>``/``<endsAt/>`` element pair.
 Tab, newline and carriage return in attribute values, and carriage
@@ -449,6 +450,7 @@ def parse_gmt(text: str) -> tuple[GmtDocument, ParseDiagnostics]:
 
 _CONTENT_SPECIALS = frozenset("&<>\r")  # what _content rewrites
 _ATTR_SPECIALS = frozenset('&<>\r"\t\n')  # what _attr rewrites
+_MAX_INDENT = 256  # spaces: the members of deeper elements are indented no further
 
 
 def _attr(value: str) -> str:
@@ -556,7 +558,8 @@ def serialize_gmt(doc: GmtDocument) -> str:
                 lines.append(f"{pad}<{tag}{attrs}/>")
                 continue
             lines.append(f"{pad}<{tag}{attrs}>")
-            stack.append((iter(content), pad + "  ", f"{pad}</{tag}>", cls is tuple))
+            inner = pad + "  " if len(pad) < _MAX_INDENT else pad
+            stack.append((iter(content), inner, f"{pad}</{tag}>", cls is tuple))
             break
         else:
             stack.pop()

@@ -306,8 +306,8 @@ def deep_chain_text(depth: int, indent: bool = True) -> str:
     registry-valid feature and a positional segment, so the chain is valid
     and resolvable without any context.
     """
-    def pad(level: int) -> str:
-        return "  " * level if indent else ""
+    def pad(level: int) -> str:  # canonical indentation stops growing at 128 levels
+        return "  " * min(level, 128) if indent else ""
 
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', '<struct type="chain">', pad(1) + '<rel target="#leaf"/>']
     lines += [pad(level) + '<struct type="chain">' for level in range(1, depth)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import subprocess
@@ -482,6 +483,39 @@ def test_python_m_gmtannot_runs_the_cli(tmp_path):
     assert len(failed.stderr.splitlines()) == 1
 
 
+def test_the_entry_point_runs_its_command_with_the_collector_off_and_the_import_heap_frozen():
+    # The hook runs after run()'s sys.exit, so it sees the collector as the command left it.
+    code = (
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "from gmtannot.cli import run; run()"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, "validate", SENTENCE_XML],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "False True\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", SENTENCE_XML], ["diff", SENTENCE_XML, SENTENCE_XML], ["merge", SENTENCE_XML, SENTENCE_XML, "-o", "{out}"]],
+    ids=["validate", "diff", "merge"],
+)
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys, argv):
+    argv = [arg.format(out=tmp_path / "out.xml") for arg in argv]
+    enabled = gc.isenabled()
+    try:
+        for switch in (gc.enable, gc.disable):
+            switch()
+            before = (gc.isenabled(), gc.get_freeze_count())
+            assert main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 @pytest.mark.parametrize(
     "command, expected_out",
     [
@@ -543,7 +577,7 @@ def test_merge_of_an_anchored_node_over_a_3000_deep_chain_through_the_cli(tmp_pa
     assert (result.returncode, result.stderr) == (0, err)
     with out.open(encoding="utf-8") as merged:
         head = [next(merged) for _ in range(4)]
-    out.unlink()  # tens of megabytes of indentation
+    out.unlink()  # megabytes, even with indentation capped at 256 spaces
     if policy == "dedup":  # the one copy itself
         assert head[1:] == ['<struct type="W-level">\n', '  <seg target="#w1"/>\n', '  <feat type="pos">NOUN</feat>\n']
     else:  # both copies under a container root

@@ -38,7 +38,14 @@ from gmtannot import (
 from gmtannot.model import replace
 from conftest import FIXTURES, load_fixture
 from path_oracle import walk_elements
-from randgen import deep_feature_text, random_document, random_markup, random_mergeable_document
+from randgen import (
+    deep_chain_text,
+    deep_feature_text,
+    deep_segless_text,
+    random_document,
+    random_markup,
+    random_mergeable_document,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +855,18 @@ def test_a_3000_deep_nested_feature_reads_and_rewrites_to_the_same_bytes():
     again, diagnostics = parse_gmt(text)
     assert diagnostics.warnings == ()
     assert serialize_gmt(again) == text  # compared as bytes: == on a 3000-deep feature still recurses
+
+
+@pytest.mark.parametrize("make", [deep_chain_text, deep_segless_text, deep_feature_text], ids=["chain", "segless", "feature"])
+def test_written_bytes_grow_linearly_with_the_nesting_depth(make):
+    # Indentation stops growing at 256 spaces, so four times the depth writes about four times the bytes.
+    written = {}
+    for depth in (750, 3000):
+        text = serialize_gmt(parse_gmt(make(depth))[0])
+        assert serialize_gmt(parse_gmt(text)[0]) == text  # compared as bytes: == on a 3000-deep document still recurses
+        assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == 256
+        written[depth] = len(text.encode("utf-8"))
+    assert written[3000] <= 4.5 * written[750]
 
 
 # ---------------------------------------------------------------------------
