@@ -94,9 +94,8 @@ def seg_key(seg: SegmentRef) -> str:
 def anchor_key(node: StructNode) -> Optional[str]:
     """Alignment key for a node, or None when it has no anchor at all.
 
-    A node carrying segments is keyed by them, computed once per node object and kept on it.
-    Any other node is keyed by its type and its children's keys, folded bottom-up by
-    :func:`_scan` on each call.
+    A node carrying segments is keyed by them.  Any other node is keyed by its type and its
+    children's keys, folded bottom-up by :func:`_scan`.  Each call computes the key afresh and keeps nothing.
     """
     return _scan([node])[0]
 
@@ -104,14 +103,6 @@ def anchor_key(node: StructNode) -> Optional[str]:
 def _key(segs: list[SegmentRef]) -> str:
     # Most nodes have one segment, whose key takes no sort.
     return seg_key(segs[0]) if len(segs) == 1 else "&".join(sorted(map(seg_key, segs)))
-
-
-def _keep_anchor(node: StructNode, segs: list[SegmentRef]) -> str:
-    """The key of a node with segments, kept in its ``_anchor`` slot: nodes are immutable, so it never
-    goes stale.  Segless nodes keep nothing, as their folded keys grow with their depth."""
-    key = _key(segs)
-    _set(node, "_anchor", key)
-    return key
 
 
 def _scan(nodes: list[StructNode]) -> list[Optional[str]]:
@@ -127,13 +118,9 @@ def _scan(nodes: list[StructNode]) -> list[Optional[str]]:
             children = done[start:]
             del done[start:]
         else:
-            anchor = getattr(node, "_anchor", None)
-            if anchor is not None:
-                done.append(anchor)
-                continue
             segs = [item for item in iter_items(node) if type(item) is SegmentRef]
             if segs:
-                done.append(_keep_anchor(node, segs))
+                done.append(_key(segs))
                 continue
             if node.children:
                 stack.append((node, len(done)))
@@ -221,8 +208,7 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
             children = tuple(sorted(taken[len(taken) - len(element.children):]))
         fingerprint = intern((element.type or "", tuple(sorted(ids)), children), len(table))
         if segs:
-            key = getattr(element, "_anchor", None) or _keep_anchor(element, segs)
-            found.setdefault(key, []).append((fingerprint, element))
+            found.setdefault(_key(segs), []).append((fingerprint, element))
         done.append(-1 if segs else fingerprint)
     return found
 
@@ -255,7 +241,7 @@ def merge(
     roots = [doc.root for doc in docs]
     if any(type(item) is SegmentRef for root in roots for item in iter_items(root)):
         # The roots are annotation nodes themselves: align them like any other anchor group, not as containers.
-        merged = _merge_level(roots, policy, warnings)
+        merged = _merge_level(roots, _scan(roots), policy, warnings)
         if len(merged) == 1:
             return GmtDocument(merged[0])
         return GmtDocument(StructNode(type=doc_type or None, children=tuple(merged)))
@@ -263,17 +249,31 @@ def merge(
     for root in roots:
         if policy.on_parallel == KEEP_ALL or root.items not in item_lists:
             item_lists.append(root.items)
-    children = _merge_level([child for root in roots for child in root.children], policy, warnings)
+    nodes = [child for root in roots for child in root.children]
+    children = _merge_level(nodes, [key for doc in docs for key in _child_keys(doc)], policy, warnings)
     items = tuple([item for root_items in item_lists for item in root_items])
     first = roots[0]
     return GmtDocument(StructNode(type=first.type, id=first.id, ref=first.ref, items=items, children=tuple(children)))
 
 
-def _merge_level(nodes: list[StructNode], policy: MergePolicy, warnings: list[str]) -> list[StructNode]:
-    """Group nodes by their :func:`anchor_key`, in first-occurrence order, and merge each group."""
+def _child_keys(doc: GmtDocument) -> list[Optional[str]]:
+    """The :func:`anchor_key` of each child of the document's root, kept on the document from the first call:
+    documents are immutable, so a later merge of the same document reads the keys without a scan."""
+    try:
+        return doc._child_keys
+    except AttributeError:
+        keys = _scan(list(doc.root.children))
+        _set(doc, "_child_keys", keys)
+        return keys
+
+
+def _merge_level(
+    nodes: list[StructNode], keys: list[Optional[str]], policy: MergePolicy, warnings: list[str]
+) -> list[StructNode]:
+    """Group nodes by their :func:`anchor_key` ``keys``, in first-occurrence order, and merge each group."""
     # A node without a key is a group of one, keyed by its position, which _merge_group passes through.
     groups: dict[str | int, list[StructNode]] = {}
-    for position, (node, key) in enumerate(zip(nodes, _scan(nodes))):
+    for position, (node, key) in enumerate(zip(nodes, keys)):
         if key is None:
             warnings.append(f"node of type {node.type!r} has no anchor; kept as-is regardless of policy")
             groups[position] = [node]

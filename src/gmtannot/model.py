@@ -174,11 +174,8 @@ NodeItem = Union[Feature, AltSet, Relation, SegmentRef, Bracket]
 
 
 class StructNode(Record):
-    """A structural node of the annotation; may nest recursively.
-
-    ``_anchor`` keeps a node's anchor key from :mod:`gmtannot.merge` once computed, if it carries segments.
-    """
-    __slots__ = ("type", "id", "ref", "items", "children", "_anchor")
+    """A structural node of the annotation; may nest recursively."""
+    __slots__ = ("type", "id", "ref", "items", "children")
 
     def __init__(
         self,
@@ -197,7 +194,7 @@ class StructNode(Record):
 
 class GmtDocument(Record):
     """One stand-off annotation layer: the tree under a single root node."""
-    __slots__ = ("root", "_node_index")
+    __slots__ = ("root", "_node_index", "_child_keys")
 
     def __init__(self, root: StructNode) -> None:
         _set(self, "root", root)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import random
+import re
 import weakref
 from decimal import Decimal
 
@@ -29,6 +31,7 @@ from gmtannot import (
     StructNode,
     TokenIndexError,
     build_landmark_table,
+    default_registry,
     find_node,
     load_registry,
     load_token_index,
@@ -37,14 +40,15 @@ from gmtannot import (
     parse_gmt,
     select_preferred_alternative,
     serialize_gmt,
+    validate_categories,
     validate_structure,
 )
 from gmtannot.agraph import AgArc, AnnotationGraph
 from gmtannot.anchoring import ResolvedSpan, Token, TokenIndex
-from gmtannot.merge import FOLD_TO_ALT, DiffEntry, DiffReport, MergePolicy
-from gmtannot.model import Finding, ValidationReport, bundle_confidence, iter_items, replace
-from gmtannot.registry import CategoryDef, ClosedSet, DecimalRange, OpenText, Reference, Registry
-from conftest import load_fixture
+from gmtannot.merge import FOLD_TO_ALT, DiffEntry, DiffReport, MergePolicy, merge
+from gmtannot.model import Finding, ValidationReport, _id_problems, _problems, bundle_confidence, iter_items, replace
+from gmtannot.registry import CategoryDef, ClosedSet, DecimalRange, OpenText, Reference, Registry, _check_feature
+from conftest import FIXTURES, load_fixture
 from randgen import DocBuilder, random_document
 
 
@@ -220,17 +224,22 @@ def test_find_node_returns_first_of_duplicate_ids():
     assert find_node(doc, "x") is nested
 
 
-def test_find_node_index_is_invisible_to_equality_hash_and_pickle():
-    text = load_fixture("morph_le_chat.xml")
+@pytest.mark.parametrize("name, fill, slot", [
+    ("morph_le_chat.xml", lambda doc: find_node(doc, "w4"), "_node_index"),
+    ("msannot_sentence.xml", lambda doc: merge([doc, doc]), "_child_keys"),
+], ids=["node-index", "child-keys"])
+def test_a_document_cache_is_invisible_to_equality_hash_repr_and_copies(name, fill, slot):
+    text = load_fixture(name)
     doc, _ = parse_gmt(text)
     fresh, _ = parse_gmt(text)
-    assert find_node(doc, "w4") is not None
+    assert fill(doc) is not None and hasattr(doc, slot) and not hasattr(fresh, slot)
     assert doc == fresh
     assert hash(doc) == hash(fresh)
     assert repr(doc) == repr(fresh)
-    restored = pickle.loads(pickle.dumps(doc))
-    assert restored == fresh
-    assert find_node(restored, "w4") == find_node(fresh, "w4")
+    expected = fill(fresh)
+    for copied in (pickle.loads(pickle.dumps(doc)), copy.copy(doc), copy.deepcopy(doc), replace(doc)):
+        assert copied == fresh and not hasattr(copied, slot)
+        assert fill(copied) == expected
     assert parse_gmt(serialize_gmt(doc))[0] == doc
 
 
@@ -569,3 +578,54 @@ def test_line_formats_skip_blank_and_comment_lines_alike(load, good, bad, error,
     # Error line numbers count the skipped lines.
     with pytest.raises(error, match="^line 5: "):
         load(end.join(skipped + [bad, good]) + end)
+
+
+# ---------------------------------------------------------------------------
+# finding codes
+
+
+def _document_with(*items) -> GmtDocument:
+    return GmtDocument(StructNode(type="W-level", items=items))
+
+
+def _alt(*confidences: str) -> AltSet:
+    return AltSet(tuple((Feature(cat="pos", text="NOUN"), Feature(cat="confidence", text=c)) for c in confidences))
+
+
+# One offending document per code of "Validation finding codes" in docs/formats.md.
+OFFENDERS = {
+    "DUPLICATE_ID": GmtDocument(StructNode(type="S", children=(StructNode(id="a"), StructNode(id="a")))),
+    "EMPTY_ID": GmtDocument(StructNode(type="S", id="")),
+    "FEATURE_NO_VALUE": _document_with(Feature(cat="lemma")),
+    "FEATURE_MULTIPLE_VALUES": _document_with(Feature(cat="lemma", text="x", target="w1")),
+    "SINGLETON_ALT": _document_with(AltSet(((Feature(cat="pos", text="NOUN"),),))),
+    "BAD_CONFIDENCE": _document_with(_alt("0.5", "2")),
+    "EMPTY_TARGETS": _document_with(SegmentRef(IdTargets(()))),
+    "DUPLICATE_TARGET": _document_with(SegmentRef(IdTargets(("w1", "w1")))),
+    "BAD_TARGET": _document_with(SegmentRef(IdTargets(("w1", "#w2")))),
+    "INVERTED_SPAN": _document_with(SegmentRef(PositionalSpan(5, 2))),
+    "NEGATIVE_OFFSET": _document_with(SegmentRef(PositionalSpan(-1, 2))),
+    "EMPTY_TARGET": _document_with(Relation(target="")),
+    "UNKNOWN_CATEGORY": _document_with(Feature(cat="nosuchcategory", text="x")),
+    "VALUE_NOT_IN_SET": _document_with(Feature(cat="pos", text="ZZZ")),
+    "VALUE_OUT_OF_RANGE": _document_with(Feature(cat="confidence", text="2")),
+    "VALUE_NOT_DECIMAL": _document_with(Feature(cat="confidence", text="high")),
+    "VALUE_KIND_MISMATCH": _document_with(Feature(cat="pos", target="w1")),
+}
+
+
+def test_the_documented_finding_codes_are_the_codes_the_validators_report():
+    docs = (FIXTURES.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    table = docs.split("### Validation finding codes", 1)[1].split("\n#", 1)[0]
+    documented = {code for line in table.splitlines() if line.startswith("| `")
+                  for code in re.findall(r"`([A-Z_]+)`", line.split("|")[1])}
+    assert len(documented) == 17 and documented == set(OFFENDERS)
+    registry = default_registry()
+    reported = set()
+    for code, doc in OFFENDERS.items():
+        found = {f.code for f in validate_structure(doc).findings + validate_categories(doc, registry).findings}
+        assert code in found, code
+        reported |= found
+    assert reported == documented
+    source = "".join(map(inspect.getsource, (_problems, _id_problems, _check_feature)))
+    assert set(re.findall(r'"([A-Z][A-Z_]+)"', source)) == documented

@@ -26,6 +26,7 @@ from gmtannot import (
     validate_structure,
 )
 from gmtannot.model import _nodes
+from conftest import assert_same_text
 from path_oracle import render_path, walk_elements
 from randgen import DocBuilder, deep_chain_text, deep_feature_text, deep_segless_text, random_document
 
@@ -311,7 +312,7 @@ def test_every_level_of_a_deep_feature_is_named():
 def test_deep_chain_serializes_to_its_canonical_text():
     text = deep_chain_text(DEPTH)
     doc, _ = parse_gmt(text)
-    assert serialize_gmt(doc) == text
+    assert_same_text(serialize_gmt(doc), text)
 
 
 def test_writer_refuses_a_faulty_document_exactly_when_validate_structure_reports_an_error():
