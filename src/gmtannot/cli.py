@@ -11,25 +11,26 @@ collide, are not plain names or are held by directories).  :func:`main`
 alone turns an error into an exit code and one ``gmtannot: ...`` line;
 any other exception is a bug and keeps its traceback.
 
-Collector policy: :func:`run`, the entry point of the ``gmtannot`` script
-and of ``python -m gmtannot``, owns its process, which runs one command on
+Process policy: :func:`run`, the entry point of the ``gmtannot`` script and
+of ``python -m gmtannot``, owns its process, which runs one command on
 inputs it never changes and then exits.  So it calls ``gc.disable()`` and
-``gc.freeze()`` before :func:`main`: the import-time heap is left out of
-every later collection, the one at exit included, and no collection walks
-the parsed inputs while the command runs.  Memory is still freed, because
-the reader and the commands build no reference cycles and reference
-counting frees everything they drop.  :func:`main` and the library leave
-the collector as they find it, since their caller may own a long-lived
-process that relies on it.
+``gc.freeze()`` before :func:`main`: no collection walks the import-time
+heap or the parsed inputs, and reference counting still frees all memory,
+as the reader and the commands build no cycles.  Then it flushes stdout and
+stderr (a failed flush is one ``gmtannot:`` line and exit 2) and leaves
+through ``os._exit``: the commands have closed their files, and atexit
+handlers do not run.  :func:`main` and the library, whose caller may own a
+long-lived process, leave the collector as they find it; :func:`main`
+imports argparse only for help, usage errors and abbreviated options.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+import os
 import sys
-import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from .agraph import DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag
 from .anchoring import build_landmark_table, load_token_index, resolve_seg
@@ -76,7 +77,7 @@ def _load_document(path: str) -> GmtDocument:
     return doc
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     doc = _load_document(args.file)
     reg = load_registry(_read(args.registry)) if args.registry is not None else default_registry()
     structure, categories = _validate(doc, True, lambda feat: _check_feature(feat, reg))
@@ -86,7 +87,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return OK if report.ok else FINDINGS
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: SimpleNamespace) -> int:
     try:
         type_map = load_type_map(_read(args.map)) if args.map else DEFAULT_TYPE_MAP
     except (OSError, BridgeError) as exc:
@@ -107,6 +108,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 raise _InputError(f"cannot write {out_dir / name}: it is a directory")
         texts = [serialize_gmt(doc) for doc in docs]
         out_dir.mkdir(parents=True, exist_ok=True)
+        import tempfile
         # Written in a directory of their own and moved into place only when all are, so an OSError leaves no file.
         with tempfile.TemporaryDirectory(dir=out_dir, ignore_cleanup_errors=True) as staging:
             try:
@@ -124,7 +126,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_resolve(args: argparse.Namespace) -> int:
+def cmd_resolve(args: SimpleNamespace) -> int:
     doc = _load_document(args.file)
     tokens = load_token_index(_read(args.tokens)) if args.tokens else None
     landmark_doc = _load_document(args.landmarks) if args.landmarks else None
@@ -150,7 +152,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
+def cmd_merge(args: SimpleNamespace) -> int:
     docs = [_load_document(path) for path in args.files]
     warnings: list[str] = []
     text = serialize_gmt(merge(docs, MergePolicy(on_parallel=args.policy), warnings))
@@ -160,58 +162,88 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
+def cmd_diff(args: SimpleNamespace) -> int:
     report = diff(_load_document(args.left), _load_document(args.right))
     if report.entries:
         print(report.render())
     return OK if report.all_equal else FINDINGS
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Per command: help, function, and add_argument calls in usage-error order; build_parser and _read_argv both read it.
+_COMMANDS = {
+    "validate": ("check a document's structure and data categories", cmd_validate, [
+        (("file",), {}), (("--registry",), dict(help="registry file (default: the bundled registry)"))]),
+    "convert": ("convert between annotation graphs and GMT documents", cmd_convert, [
+        (("--from",), dict(dest="source_format", choices=("ag", "gmt"), required=True)),
+        (("--to",), dict(dest="target_format", choices=("ag", "gmt"), required=True)), (("inputs",), dict(nargs="+")),
+        (("-o", "--output"), dict(required=True, help="output directory (ag->gmt) or file (gmt->ag)")),
+        (("--map",), dict(help="arc type mapping table (default: P/W)"))]),
+    "resolve": ("resolve segment references to spans", cmd_resolve, [
+        (("file",), {}), (("--tokens",), dict(help="token index file")),
+        (("--landmarks",), dict(help="landmark description document")),
+        (("--lenient",), dict(action="store_true", help="skip unresolvable targets instead of failing"))]),
+    "merge": ("merge annotation layers of one document type", cmd_merge, [
+        (("files",), dict(nargs="+")), (("-o", "--output"), dict(required=True)),
+        (("--policy",), dict(choices=POLICIES, default=KEEP_ALL))]),
+    "diff": ("compare two documents anchor by anchor", cmd_diff, [(("left",), {}), (("right",), {})]),
+}
+
+
+def build_parser():
+    """argparse's parser for the command table, built only when needed, as importing argparse takes milliseconds."""
+    import argparse
     parser = argparse.ArgumentParser(
-        prog="gmtannot",
-        description="Validate, resolve, merge, diff and convert stand-off annotation documents.",
-    )
+        prog="gmtannot", description="Validate, resolve, merge, diff and convert stand-off annotation documents.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a document's structure and data categories")
-    p.add_argument("file")
-    p.add_argument("--registry", help="registry file (default: the bundled registry)")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("convert", help="convert between annotation graphs and GMT documents")
-    p.add_argument("--from", dest="source_format", choices=("ag", "gmt"), required=True)
-    p.add_argument("--to", dest="target_format", choices=("ag", "gmt"), required=True)
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output", required=True, help="output directory (ag->gmt) or file (gmt->ag)")
-    p.add_argument("--map", help="arc type mapping table (default: P/W)")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("resolve", help="resolve segment references to spans")
-    p.add_argument("file")
-    p.add_argument("--tokens", help="token index file")
-    p.add_argument("--landmarks", help="landmark description document")
-    p.add_argument("--lenient", action="store_true", help="skip unresolvable targets instead of failing")
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("merge", help="merge annotation layers of one document type")
-    p.add_argument("files", nargs="+")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--policy", choices=POLICIES, default=KEEP_ALL)
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("diff", help="compare two documents anchor by anchor")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_diff)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for ``argv``; None where argparse must answer: help, a usage error, an option not spelled
+    in full, any other word starting with ``-``, positionals split by an option, and ``--from`` equal to ``--to``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values, options, positionals, words = {"command": argv[0], "func": _COMMANDS[argv[0]][1]}, {}, [], []
+    for flags, kwargs in _COMMANDS[argv[0]][2]:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], kwargs.get("nargs")))
+            continue
+        dest = kwargs.get("dest", flags[-1].lstrip("-"))
+        options.update(dict.fromkeys(flags, (dest, kwargs)))
+        if not kwargs.get("required"):  # a required option's dest stays out of values until it is given
+            values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+    rest, closed = iter(argv[1:]), False
+    for word in rest:
+        if not (closed or word.startswith("-")):
+            words.append(word)
+        elif word not in options:
+            return None
+        else:
+            closed, (dest, kwargs) = bool(words), options[word]
+            value = values[dest] = True if "action" in kwargs else next(rest, "-")  # the one action is store_true
+            if value is not True and (value.startswith("-") or value not in kwargs.get("choices", (value,))):
+                return None
+    for k, (dest, nargs) in enumerate(positionals, 1):
+        take = len(words) - len(positionals) + k if nargs else 1  # "+" takes what the later positionals leave
+        if not 1 <= take <= len(words):
+            return None
+        values[dest], words = words[:take] if nargs else words[0], words[take:]
+    if words or any(dest not in values for dest, _ in options.values()):
+        return None
+    return None if values.get("source_format", 0) == values.get("target_format") else SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "convert" and args.source_format == args.target_format:
-        parser.error("--from and --to must name different formats")
+    if (args := _read_argv(sys.argv[1:] if argv is None else argv)) is None:
+        parser = build_parser()
+        args = parser.parse_args(argv, SimpleNamespace())
+        if args.command == "convert" and args.source_format == args.target_format:
+            parser.error("--from and --to must name different formats")
     try:
         return args.func(args)
     except (OSError, GmtParseError, AgParseError, RegistryError, TokenIndexError, _InputError) as exc:
@@ -223,7 +255,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The entry point of the ``gmtannot`` script and of ``python -m gmtannot`` (its collector policy is in the module docstring)."""
+    """The entry point of the ``gmtannot`` script and of ``python -m gmtannot`` (its policies: module docstring)."""
     gc.disable()
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        _err(str(exc))
+        code = FAILURE
+    os._exit(code)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gmtannot import canonicalize_ag, parse_ag, parse_gmt, serialize_gmt
-from gmtannot.cli import main
+from gmtannot.cli import _COMMANDS, _read_argv, build_parser, main
 from conftest import FIXTURES, load_fixture
 from randgen import deep_chain_text, deep_feature_text, deep_segless_text
 
@@ -22,28 +23,40 @@ AG_XML = str(FIXTURES / "annotation_graph.xml")
 SRC = FIXTURES.parent / "src"
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m gmtannot`` on the source tree in a child process."""
+def run_python(*args: str, stdout: int = subprocess.PIPE, **env: str | None) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args`` on the source tree in a child process; ``env`` sets its variables, and
+    None unsets one."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run(
-        [sys.executable, "-m", "gmtannot", *args],
-        capture_output=True,
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env={name: value for name, value in env.items() if value is not None},
         timeout=120,
     )
 
 
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m gmtannot`` on the source tree in a child process."""
+    return run_python("-m", "gmtannot", *args)
+
+
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_element_tree():
     # Each of these costs every CLI process milliseconds that it does not need;
-    # ElementTree is imported by parse_ag, its only user.  -S leaves out what
-    # the environment's site hooks import, so only gmtannot's imports count.
-    code = "import sys, gmtannot.cli; print(sorted({'dataclasses', 'inspect', 'xml.etree.ElementTree'} & set(sys.modules)))"
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120
+    # ElementTree is imported by parse_ag and tempfile by convert --from ag,
+    # their only users, and argparse (with gettext and locale) only for help
+    # and usage errors.  -S leaves out what the environment's site hooks
+    # import, so only gmtannot's imports count.
+    code = (
+        "import sys, gmtannot.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'xml.etree.ElementTree', 'tempfile'} & set(sys.modules))); "
+        f"gmtannot.cli.main(['validate', {SENTENCE_XML!r}]); "
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    result = run_python("-S", "-c", code)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n[]\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +497,59 @@ def test_python_m_gmtannot_runs_the_cli(tmp_path):
 
 
 def test_the_entry_point_runs_its_command_with_the_collector_off_and_the_import_heap_frozen():
-    # The hook runs after run()'s sys.exit, so it sees the collector as the command left it.
+    # main is wrapped, so the collector is read where the command starts.
     code = (
-        "import atexit, gc, sys; "
-        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "import gc, sys, gmtannot.cli as cli; command = cli.main; "
+        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr) or command(); "
+        "cli.run()"
+    )
+    result = run_python("-c", code, "validate", SENTENCE_XML)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "False True\n")
+
+
+RESOLVED_SENTENCE = (
+    "/struct[1]/struct[1]\t0\t4\n/struct[1]/struct[2]\t5\t9\n"
+    "/struct[1]/struct[3]\t10\t13\n/struct[1]/struct[4]\t14\t24\n"
+)
+
+
+def test_the_entry_point_flushes_its_output_and_leaves_without_running_atexit_handlers():
+    # Buffered stdout, as on a terminal-less run without PYTHONUNBUFFERED: only run()'s flush writes the lines.
+    code = "import atexit; atexit.register(print, 'atexit ran'); from gmtannot.cli import run; run()"
+    result = run_python("-c", code, "resolve", SENTENCE_XML, "--tokens", TOKENS, PYTHONUNBUFFERED=None)
+    assert (result.returncode, result.stdout, result.stderr) == (0, RESOLVED_SENTENCE, "")
+
+
+def test_a_final_flush_that_fails_exits_2_with_one_line():
+    code = (
+        "import sys\n"
+        "class Closed:\n"
+        "    def write(self, text): return len(text)\n"
+        "    def flush(self): raise BrokenPipeError(32, 'Broken pipe')\n"
+        "sys.stdout = Closed()\n"
         "from gmtannot.cli import run; run()"
     )
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", code, "validate", SENTENCE_XML],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "", "False True\n")
+    result = run_python("-c", code, "validate", SENTENCE_XML)
+    assert (result.returncode, result.stderr) == (2, "gmtannot: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["write-fails", "final-flush-fails"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", SENTENCE_XML, "--tokens", TOKENS],
+        ["diff", SENTENCE_XML, str(FIXTURES / "msannot_compound_pomme.xml")],
+    ],
+    ids=["resolve", "diff"],
+)
+def test_output_to_a_closed_pipe_exits_2_with_one_line(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_python("-m", "gmtannot", *argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, "gmtannot: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize(
@@ -716,3 +770,116 @@ def test_convert_between_one_format_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--from and --to must name different formats" in capsys.readouterr().err
     assert not (tmp_path / "out.xml").exists()
+
+
+# ---------------------------------------------------------------------------
+# argv: the command table's reader against argparse
+
+ARGV_WORDS = [
+    # hostile spellings: abbreviations, attached values, bare dashes, negative numbers, help, empty words
+    "--pol", "--policy=dedup", "-oX", "-", "--", "-1", "-h", "--help", "", "--out", "--from=ag", "-x",
+    # every option of every command, and values, choices and command names
+    "-o", "--output", "--policy", "--from", "--to", "--map", "--tokens", "--landmarks", "--lenient", "--registry",
+    "a.xml", "b", "ag", "gmt", "dedup", "keep-all", "fold-alt", "bogus", "validate", "diff",
+]
+ARGV_FILES = ["a.xml", "b.xml", "dir/c.xml", ""]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A well-formed argv of one command, then up to three random edits: insert, delete or replace a word, or
+    repeat a pair of words."""
+    command = rng.choice(["validate", "convert", "resolve", "merge", "diff"])
+    files = [rng.choice(ARGV_FILES) for _ in range(rng.randint(1, 3))]
+    pick = rng.choice
+    options = {
+        "validate": [["--registry", pick(ARGV_FILES)]],
+        "convert": [
+            ["--from", pick(["ag", "gmt"])],
+            ["--to", pick(["ag", "gmt"])],
+            [pick(["-o", "--output"]), pick(ARGV_FILES)],
+            ["--map", pick(ARGV_FILES)],
+        ],
+        "resolve": [["--tokens", pick(ARGV_FILES)], ["--landmarks", pick(ARGV_FILES)], ["--lenient"]],
+        "merge": [
+            [pick(["-o", "--output"]), pick(ARGV_FILES)],
+            ["--policy", pick(["keep-all", "dedup", "fold-alt", "bogus"])],
+        ],
+        "diff": [],
+    }[command]
+    groups = [group for group in options if rng.random() < 0.85]
+    rng.shuffle(groups)
+    positionals = {"validate": files[:1], "resolve": files[:1], "diff": (files * 2)[:2]}.get(command, files)
+    groups.insert(rng.randint(0, len(groups)), positionals)
+    argv = [command] + [word for group in groups for word in group]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        k = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            argv.insert(k, rng.choice(ARGV_WORDS))
+        elif edit == 1 and k < len(argv):
+            del argv[k]
+        elif edit == 2 and k < len(argv):
+            argv[k] = rng.choice(ARGV_WORDS)
+        else:
+            argv[k:k] = argv[k - 2:k]
+    return argv
+
+
+def test_the_table_reader_returns_argparses_namespace_or_leaves_the_argv_to_argparse():
+    rng = random.Random(29)
+    parser = build_parser()
+    accepted = 0
+    for _ in range(20_000):
+        argv = random_argv(rng)
+        args = _read_argv(argv)
+        if args is None:
+            continue
+        accepted += 1
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the reader accepts {argv!r}, which argparse refuses")
+        assert vars(args) == vars(expected), argv
+    # Most argv are well formed, so the reader must answer many of them itself.
+    assert accepted > 5_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the benchmark's cli commands
+        ["validate", "words.xml"],
+        ["resolve", "words.xml", "--tokens", "words.tokens"],
+        ["resolve", "phones.xml", "--landmarks", "landmarks.xml"],
+        ["diff", "left.xml", "right.xml"],
+        ["merge", "left.xml", "right.xml", "-o", "out/merged.xml", "--policy", "dedup"],
+        ["convert", "--from", "ag", "--to", "gmt", "graph.xml", "-o", "out/gmt"],
+        ["convert", "--from", "gmt", "--to", "ag", "landmarks.xml", "phones.xml", "-o", "out/graph.xml"],
+        # the CI smoke steps
+        ["merge", "--policy", "keep-all", "a.xml", "a.xml", "-o", "twice.xml"],
+        ["convert", "--from", "ag", "--to", "gmt", "graph.xml", "--map", "clash.tsv", "-o", "clash"],
+        ["merge", "a.xml", "b.xml", "-o", "merged.xml"],
+        ["merge", "--policy", "fold-alt", "a.xml", "b.xml", "-o", "folded.xml"],
+        ["validate", "--registry", "/dev/null", "deep.xml"],
+        # the README's usage lines
+        ["validate", "a.xml", "--registry", "registry.txt"],
+        ["convert", "--from", "ag", "--to", "gmt", "graph.xml", "-o", "outdir", "--map", "table.tsv"],
+        ["convert", "--from", "gmt", "--to", "ag", "landmarks.xml", "a.xml", "b.xml", "-o", "graph.xml", "--map", "m"],
+        ["resolve", "a.xml", "--tokens", "a.tokens", "--landmarks", "landmarks.xml", "--lenient"],
+        ["merge", "a.xml", "b.xml", "-o", "out.xml", "--output", "out2.xml", "--policy", "keep-all"],
+    ],
+)
+def test_the_table_reader_answers_every_benchmarked_and_documented_argv(argv):
+    args = _read_argv(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_exits_0_and_names_every_option_in_the_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = list(_COMMANDS) if command is None else [flag for flags, _ in _COMMANDS[command][2] for flag in flags]
+    assert [name for name in names if name not in out] == []
