@@ -16,7 +16,7 @@ and character units.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .errors import AnchorError, InvertedSpanError, TokenIndexError, UnresolvedTargetError
 from .model import (
@@ -46,10 +46,14 @@ LANDMARK_TYPE = "landmark"
 POSITION_CAT = "position"
 
 
-class Token(NamedTuple):
-    id: str
-    start: int
-    end: int
+class Token(Record):
+    """One entry of a token index: the token's id and its character span."""
+    __slots__ = ("id", "start", "end")
+
+    def __init__(self, id: str, start: int, end: int) -> None:
+        _set(self, "id", id)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
 class TokenIndex(Record):
@@ -199,8 +203,7 @@ def _span(
         found = [by_id.get(token_id) for token_id in ids]
         if None in found:
             return None
-        _, starts, ends = zip(*found)
-        return min(starts), max(ends)
+        return min(token.start for token in found), max(token.end for token in found)
     if cls is PositionalSpan:
         if addr.start > addr.end:
             raise InvertedSpanError(f"span starts at {addr.start} after its end {addr.end}")

@@ -22,6 +22,12 @@ through ``os._exit``: the commands have closed their files, and atexit
 handlers do not run.  :func:`main` and the library, whose caller may own a
 long-lived process, leave the collector as they find it; :func:`main`
 imports argparse only for help, usage errors and abbreviated options.
+
+Imports: each ``cmd_*`` function imports the modules that its command runs,
+so a process loads only its own command's modules (``resolve``, for one,
+loads neither the registry, the graph bridge nor ``decimal``).  This module
+imports only ``errors`` and ``merge``'s policy names, which the package
+loads anyway.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from .agraph import DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag
-from .anchoring import build_landmark_table, load_token_index, resolve_seg
 from .errors import (
     AgParseError,
     AnchorError,
@@ -45,10 +50,10 @@ from .errors import (
     TokenIndexError,
     UnresolvedTargetError,
 )
-from .merge import KEEP_ALL, POLICIES, MergePolicy, diff, merge
-from .model import GmtDocument, SegmentRef, ValidationReport, _validate, iter_items
-from .registry import _check_feature, default_registry, load_registry
-from .xml_io import parse_gmt, serialize_gmt
+from .merge import KEEP_ALL, POLICIES  # loaded with the package, which binds its merge function
+
+if TYPE_CHECKING:
+    from .model import GmtDocument
 
 OK, FINDINGS, FAILURE = 0, 1, 2
 
@@ -71,6 +76,7 @@ def _read(path: str) -> str:
 
 
 def _load_document(path: str) -> GmtDocument:
+    from .xml_io import parse_gmt
     doc, diagnostics = parse_gmt(_read(path))
     for warning in diagnostics.warnings:
         print(f"{path}:{warning.line}:{warning.column}: {warning.message}", file=sys.stderr)
@@ -78,6 +84,8 @@ def _load_document(path: str) -> GmtDocument:
 
 
 def cmd_validate(args: SimpleNamespace) -> int:
+    from .model import ValidationReport, _validate
+    from .registry import _check_feature, default_registry, load_registry
     doc = _load_document(args.file)
     reg = load_registry(_read(args.registry)) if args.registry is not None else default_registry()
     structure, categories = _validate(doc, True, lambda feat: _check_feature(feat, reg))
@@ -88,6 +96,9 @@ def cmd_validate(args: SimpleNamespace) -> int:
 
 
 def cmd_convert(args: SimpleNamespace) -> int:
+    from .agraph import (
+        DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag)
+    from .xml_io import serialize_gmt
     try:
         type_map = load_type_map(_read(args.map)) if args.map else DEFAULT_TYPE_MAP
     except (OSError, BridgeError) as exc:
@@ -127,6 +138,8 @@ def cmd_convert(args: SimpleNamespace) -> int:
 
 
 def cmd_resolve(args: SimpleNamespace) -> int:
+    from .anchoring import build_landmark_table, load_token_index, resolve_seg
+    from .model import SegmentRef, iter_items
     doc = _load_document(args.file)
     tokens = load_token_index(_read(args.tokens)) if args.tokens else None
     landmark_doc = _load_document(args.landmarks) if args.landmarks else None
@@ -153,6 +166,8 @@ def cmd_resolve(args: SimpleNamespace) -> int:
 
 
 def cmd_merge(args: SimpleNamespace) -> int:
+    from .merge import MergePolicy, merge
+    from .xml_io import serialize_gmt
     docs = [_load_document(path) for path in args.files]
     warnings: list[str] = []
     text = serialize_gmt(merge(docs, MergePolicy(on_parallel=args.policy), warnings))
@@ -163,6 +178,7 @@ def cmd_merge(args: SimpleNamespace) -> int:
 
 
 def cmd_diff(args: SimpleNamespace) -> int:
+    from .merge import diff
     report = diff(_load_document(args.left), _load_document(args.right))
     if report.entries:
         print(report.render())

@@ -17,8 +17,7 @@ per-source brackets; nodes with children fall back to keep-all).
 
 from __future__ import annotations
 
-from decimal import Decimal
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import MergeError
 from .model import (
@@ -39,6 +38,9 @@ from .model import (
     iter_items,
 )
 
+if TYPE_CHECKING:
+    from decimal import Decimal
+
 KEEP_ALL = "keep-all"
 DEDUP_IDENTICAL = "dedup"
 FOLD_TO_ALT = "fold-alt"
@@ -51,15 +53,17 @@ BOTH_DIFFER = "bothDiffer"
 
 
 class MergePolicy(Record):
-    """How parallel annotations over one anchor are combined."""
+    """How parallel annotations over one anchor are combined; ``alt_confidence_fill`` defaults to ``Decimal(0)``."""
     __slots__ = ("on_parallel", "alt_confidence_fill")
 
-    def __init__(self, on_parallel: str = KEEP_ALL, alt_confidence_fill: Decimal = Decimal(0)) -> None:
+    def __init__(self, on_parallel: str = KEEP_ALL, alt_confidence_fill: Optional[Decimal] = None) -> None:
+        import decimal
+
         if on_parallel not in POLICIES:
             raise ValueError(f"unknown policy {on_parallel!r}; pick one of {POLICIES}")
-        fill = alt_confidence_fill
+        fill = decimal.Decimal(0) if alt_confidence_fill is None else alt_confidence_fill
         # A NaN would make the range test raise InvalidOperation, which is no ValueError.
-        if isinstance(fill, Decimal) and fill.is_nan() or not 0 <= fill <= 1:
+        if isinstance(fill, decimal.Decimal) and fill.is_nan() or not 0 <= fill <= 1:
             raise ValueError("alt_confidence_fill must lie in [0, 1]")
         _set(self, "on_parallel", on_parallel)
         _set(self, "alt_confidence_fill", fill)
@@ -219,20 +223,21 @@ def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tu
 
 def merge(
     docs: list[GmtDocument],
-    policy: MergePolicy = MergePolicy(),
+    policy: Optional[MergePolicy] = None,
     warnings: Optional[list[str]] = None,
 ) -> GmtDocument:
     """Merge documents of one type into a single document.
 
     Top-level annotation nodes are grouped by anchor key, in first
     occurrence order; what happens to groups larger than one is the
-    policy's call.  When the roots themselves carry segments they are
-    aligned as one such group: a single resulting node is the merged
-    root, and several become the children of a container root of the
-    document type.  Mixed document types are an error.
+    policy's call (by default ``MergePolicy()``: keep-all).  When the roots
+    themselves carry segments they are aligned as one such group: a single
+    resulting node is the merged root, and several become the children of a
+    container root of the document type.  Mixed document types are an error.
     """
     if not docs:
         raise MergeError("nothing to merge")
+    policy = MergePolicy() if policy is None else policy
     warnings = [] if warnings is None else warnings
     doc_type = docs[0].doc_type
     for doc in docs[1:]:

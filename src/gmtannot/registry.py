@@ -13,11 +13,14 @@ File format (UTF-8, ``#`` comments)::
 
 from __future__ import annotations
 
-from decimal import Decimal
-from typing import Optional, Union
+import os
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import RegistryError
 from .model import Feature, GmtDocument, Record, ValidationReport, _data_lines, _decimal, _set, _validate
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class OpenText(Record):
@@ -164,9 +167,10 @@ def _parse_kind(value: str, lineno: int) -> ValueKind:
 
 def default_registry() -> Registry:
     """The registry bundled with the package."""
-    from importlib import resources  # here, not at the top: on Python 3.12 it imports inspect
-    text = resources.files("gmtannot.data").joinpath("default_registry.txt").read_text("utf-8")
-    return load_registry(text)
+    # Read by the loader that read this module, from a directory or a zip file alike: importlib.resources would
+    # import tempfile and zipfile, and on Python 3.12 inspect.
+    path = os.path.join(os.path.dirname(__file__), "data", "default_registry.txt")
+    return load_registry(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def is_subcategory(registry: Registry, child: str, ancestor: str) -> bool:

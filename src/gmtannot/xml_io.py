@@ -53,7 +53,8 @@ whitespace (the parser trims them) for the round-trip
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NoReturn, Optional
 from xml.parsers import expat
 
 from .errors import GmtParseError, GmtSerializeError
@@ -67,6 +68,7 @@ from .model import (
     LandmarkEndpoints,
     NodeItem,
     PositionalSpan,
+    Record,
     Relation,
     SegmentRef,
     StructNode,
@@ -74,20 +76,36 @@ from .model import (
     _integer,
     _leaf,
     _problems,
+    _set,
     validate_structure,
 )
 
 
-class ParseWarning(NamedTuple):
-    line: int
-    column: int
-    message: str
+class ParseWarning(tuple):
+    """A soft problem and where it starts, 1-based: a ``(line, column, message)`` tuple with named fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, line: int, column: int, message: str) -> ParseWarning:
+        return tuple.__new__(cls, (line, column, message))
+
+    def __getnewargs__(self) -> tuple[int, int, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"ParseWarning(line={self[0]!r}, column={self[1]!r}, message={self[2]!r})"
+
+    line = property(itemgetter(0))
+    column = property(itemgetter(1))
+    message = property(itemgetter(2))
 
 
-class ParseDiagnostics(NamedTuple):
+class ParseDiagnostics(Record):
     """Soft problems encountered while reading a document."""
+    __slots__ = ("warnings",)
 
-    warnings: tuple[ParseWarning, ...]
+    def __init__(self, warnings: tuple[ParseWarning, ...]) -> None:
+        _set(self, "warnings", warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +420,21 @@ def _placed(text: str, warnings: list[tuple[int, str]]) -> tuple[ParseWarning, .
     return tuple(ParseWarning(*places[at], message) for at, message in warnings)
 
 
-class _Element(NamedTuple):
+class _Element:
     """One row of the element grammar, as the reader applies it."""
+    __slots__ = ("attrs", "contains", "close")
 
-    attrs: Optional[frozenset[str]]  # the attributes it reads; others warn (None: no check)
-    # The known tags it may contain, each with its row.  A row that maps some
-    # tags also admits unknown ones; an empty map admits none.
-    contains: dict[str, _Element]
-    close: Callable[[_GmtBuilder, _Frame, _Frame, str], None]
+    def __init__(
+        self,
+        attrs: Optional[frozenset[str]],
+        contains: dict[str, _Element],
+        close: Callable[[_GmtBuilder, _Frame, _Frame, str], None],
+    ) -> None:
+        self.attrs = attrs  # the attributes it reads; others warn (None: no check)
+        # The known tags it may contain, each with its row.  A row that maps some
+        # tags also admits unknown ones; an empty map admits none.
+        self.contains = contains
+        self.close = close
 
 
 def _row(attrs: tuple[str, ...], close: Callable) -> _Element:

@@ -23,16 +23,20 @@ AG_XML = str(FIXTURES / "annotation_graph.xml")
 SRC = FIXTURES.parent / "src"
 
 
-def run_python(*args: str, stdout: int = subprocess.PIPE, **env: str | None) -> subprocess.CompletedProcess:
-    """Run the interpreter with ``args`` on the source tree in a child process; ``env`` sets its variables, and
-    None unsets one."""
+def run_python(
+    *args: str, stdout: int = subprocess.PIPE, cwd: Path | None = None, **env: str | None
+) -> subprocess.CompletedProcess:
+    """Run the interpreter with ``args`` on the source tree in a child process, in ``cwd`` if given; ``env`` sets
+    its variables, and None unsets one.  ``PYTHONUNBUFFERED`` is unset unless ``env`` sets it, so the child's
+    stdout is buffered, as on CI and on any run without a terminal, whatever the environment of the tests sets."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, **env}
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": None, **env}
     return subprocess.run(
         [sys.executable, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
+        cwd=cwd,
         env={name: value for name, value in env.items() if value is not None},
         timeout=120,
     )
@@ -43,20 +47,47 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
     return run_python("-m", "gmtannot", *args)
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_element_tree():
-    # Each of these costs every CLI process milliseconds that it does not need;
-    # ElementTree is imported by parse_ag and tempfile by convert --from ag,
-    # their only users, and argparse (with gettext and locale) only for help
-    # and usage errors.  -S leaves out what the environment's site hooks
-    # import, so only gmtannot's imports count.
+#: Standard modules that a command should import only when it needs them.
+WATCHED = (
+    "argparse", "dataclasses", "decimal", "gettext", "importlib.resources", "inspect", "locale", "tempfile",
+    "xml.etree.ElementTree",
+)
+#: What the package, the CLI and the reader load for every command.
+BASE = {"cli", "errors", "merge", "model", "xml_io"}
+
+
+@pytest.mark.parametrize(
+    "argv, status, modules, stdlib",
+    [
+        (["validate", "msannot_sentence.xml"], 0, BASE | {"registry"}, {"decimal"}),
+        (["resolve", "msannot_sentence.xml", "--tokens", "msannot_sentence.tokens"], 0, BASE | {"anchoring"}, set()),
+        (["resolve", "event_anchored_phones.xml", "--landmarks", "landmark_desc.xml"], 0, BASE | {"anchoring"}, set()),
+        (["diff", "msannot_sentence.xml", "msannot_compound_pomme.xml"], 1, BASE, set()),
+        (["merge", "msannot_sentence.xml", "msannot_sentence.xml", "-o", "{out}/merged.xml", "--policy", "dedup"],
+         0, BASE, {"decimal"}),
+        (["convert", "--from", "ag", "--to", "gmt", "annotation_graph.xml", "-o", "{out}/gmt"],
+         0, BASE | {"agraph", "anchoring"}, {"tempfile", "xml.etree.ElementTree"}),
+        (["convert", "--from", "gmt", "--to", "ag", "landmark_desc.xml", "event_anchored_phones.xml",
+          "-o", "{out}/graph.xml"], 0, BASE | {"agraph", "anchoring"}, set()),
+    ],
+    ids=["validate", "resolve-tokens", "resolve-landmarks", "diff", "merge", "convert-ag-gmt", "convert-gmt-ag"],
+)
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, status, modules, stdlib):
+    # The benchmark's seven command shapes, on fixtures.  Each import costs every CLI process of the command time
+    # that it does not need: ElementTree is parse_ag's and tempfile convert --from ag's alone, argparse (with
+    # gettext and locale) is for help and usage errors, and decimal is for registry ranges, confidences and the merge policy.  -S leaves out what
+    # the environment's site hooks import, so only gmtannot's imports count.
+    argv = [arg.format(out=tmp_path) for arg in argv]
     code = (
-        "import sys, gmtannot.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'xml.etree.ElementTree', 'tempfile'} & set(sys.modules))); "
-        f"gmtannot.cli.main(['validate', {SENTENCE_XML!r}]); "
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+        "import sys, gmtannot.cli\n"
+        f"code = gmtannot.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('gmtannot.')), "
+        f"sorted(set({WATCHED!r}) & set(sys.modules)))"
     )
-    result = run_python("-S", "-c", code)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n[]\n", "")
+    result = run_python("-S", "-c", code, cwd=FIXTURES)
+    assert (result.returncode, result.stderr) == (0, "")
+    expected = f"{status} {sorted(f'gmtannot.{name}' for name in modules)} {sorted(stdlib)}"
+    assert result.stdout.splitlines()[-1] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +545,9 @@ RESOLVED_SENTENCE = (
 
 
 def test_the_entry_point_flushes_its_output_and_leaves_without_running_atexit_handlers():
-    # Buffered stdout, as on a terminal-less run without PYTHONUNBUFFERED: only run()'s flush writes the lines.
+    # Buffered stdout, as run_python gives every child: only run()'s flush writes the lines.
     code = "import atexit; atexit.register(print, 'atexit ran'); from gmtannot.cli import run; run()"
-    result = run_python("-c", code, "resolve", SENTENCE_XML, "--tokens", TOKENS, PYTHONUNBUFFERED=None)
+    result = run_python("-c", code, "resolve", SENTENCE_XML, "--tokens", TOKENS)
     assert (result.returncode, result.stdout, result.stderr) == (0, RESOLVED_SENTENCE, "")
 
 

@@ -48,6 +48,7 @@ from gmtannot.anchoring import ResolvedSpan, Token, TokenIndex
 from gmtannot.merge import FOLD_TO_ALT, DiffEntry, DiffReport, MergePolicy, merge
 from gmtannot.model import Finding, ValidationReport, _id_problems, _problems, bundle_confidence, iter_items, replace
 from gmtannot.registry import CategoryDef, ClosedSet, DecimalRange, OpenText, Reference, Registry, _check_feature
+from gmtannot.xml_io import ParseDiagnostics, ParseWarning
 from conftest import FIXTURES, load_fixture
 from randgen import DocBuilder, random_document
 
@@ -483,6 +484,12 @@ RECORDS = [
         "DiffReport(entries=(DiffEntry(anchor='ids:w1', status='onlyLeft', detail=''),))",
     ),
     (lambda: TokenIndex((Token("w1", 0, 4),)), {"entries": ()}, "TokenIndex(entries=(Token(id='w1', start=0, end=4),))"),
+    (lambda: Token("w1", 0, 4), {"end": 5}, "Token(id='w1', start=0, end=4)"),
+    (
+        lambda: ParseDiagnostics((ParseWarning(1, 2, "m"),)),
+        {"warnings": ()},
+        "ParseDiagnostics(warnings=(ParseWarning(line=1, column=2, message='m'),))",
+    ),
     (
         lambda: ResolvedSpan("primary", 0, 4),
         {"end": 5},

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import zipfile
 from itertools import product
 
 import pytest
@@ -24,7 +28,7 @@ from gmtannot import (
     validate_categories,
 )
 from gmtannot.model import replace
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from randgen import random_registry_text
 
 
@@ -45,6 +49,27 @@ def test_default_registry_contents():
     assert isinstance(confidence.kind, DecimalRange)
     assert (confidence.kind.lo, confidence.kind.hi) == (0, 1)
     assert isinstance(reg.resolve("lemma").kind, OpenText)
+
+
+def test_the_bundled_registry_is_read_from_a_zip_import_too(tmp_path):
+    # The package read from a zip file of its sources, by the loader that read it, with no importlib.resources.
+    package = FIXTURES.parent / "src" / "gmtannot"
+    archive = tmp_path / "gmtannot.zip"
+    with zipfile.ZipFile(archive, "w") as out:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                out.write(path, path.relative_to(package.parent).as_posix())
+    code = (
+        "import sys, gmtannot\n"
+        "assert gmtannot.__file__.startswith(sys.argv[1]), gmtannot.__file__\n"
+        "print(repr(gmtannot.default_registry()), 'importlib.resources' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(archive)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(archive)},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"{default_registry()!r} False\n"
 
 
 def test_empty_file_gives_empty_registry():
