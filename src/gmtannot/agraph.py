@@ -108,7 +108,8 @@ def parse_ag(text: str) -> AnnotationGraph:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, column = exc.position
-        raise AgParseError(f"malformed XML: {exc.msg} (line {line}, column {column + 1})") from None
+        message = exc.msg.removesuffix(f": line {line}, column {column}")  # expat's 0-based column
+        raise AgParseError(f"malformed XML: {message} (line {line}, column {column + 1})") from None
     if root.tag != "annotation":
         raise AgParseError(f"document element must be <annotation>, got <{root.tag}>")
     nodes: dict[str, int] = {}

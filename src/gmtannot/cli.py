@@ -2,14 +2,13 @@
 
 Standard output carries data, standard error diagnostics.  Exit codes:
 0 success; 1 findings, or any other gmtannot error or ``ValueError``
-raised while a command works on its inputs; 2 an ``OSError``, a GMT,
-annotation-graph, registry or token-index file that does not parse, or an
-input unusable before any work begins (a malformed ``--map`` table, a
-landmark description that yields no table for ``resolve --landmarks``,
-more than one graph for ``ag -> gmt``, or output file names for it that
-collide, are not plain names or are held by directories).  :func:`main`
-alone turns an error into an exit code and one ``gmtannot: ...`` line;
-any other exception is a bug and keeps its traceback.
+raised while a command works on its inputs; 2 an ``OSError``, an input
+file that its reader refuses (:func:`_load` names the file), or an input
+unusable before any work begins (more than one graph for ``ag -> gmt``,
+or output file names for it that collide, are not plain names or are
+held by directories).  :func:`main` alone turns an error into an exit
+code and one ``gmtannot: ...`` line; any other exception is a bug and
+keeps its traceback.
 
 Process policy: :func:`run`, the entry point of the ``gmtannot`` script and
 of ``python -m gmtannot``, owns its process, which runs one command on
@@ -39,21 +38,13 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import (
-    AgParseError,
-    AnchorError,
-    BridgeError,
-    GmtError,
-    GmtParseError,
-    InvertedSpanError,
-    RegistryError,
-    TokenIndexError,
-    UnresolvedTargetError,
-)
+from .errors import GmtError, InvertedSpanError, UnresolvedTargetError
 from .merge import KEEP_ALL, POLICIES  # loaded with the package, which binds its merge function
 
 if TYPE_CHECKING:
+    from typing import Callable, TypeVar
     from .model import GmtDocument
+    T = TypeVar("T")
 
 OK, FINDINGS, FAILURE = 0, 1, 2
 
@@ -66,28 +57,35 @@ def _err(message: str) -> None:
     print(f"gmtannot: {message}", file=sys.stderr)
 
 
-def _read(path: str) -> str:
-    """The file's text; undecodable bytes become an OSError naming the file,
-    which every command reports like any other unreadable input."""
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """What the format's reader ``parse`` makes of the file's text.  Every input file goes through here, so bytes
+    that are not UTF-8 are an OSError and a reader's gmtannot error is an input error, both naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except GmtError as exc:
+        raise _InputError(f"{path}: {exc}") from None
 
 
-def _load_document(path: str) -> GmtDocument:
+def _parse_document(path: str, text: str) -> GmtDocument:
+    """The GMT document of ``text``; its reader's warnings go to stderr as ``PATH:LINE:COLUMN: message``."""
     from .xml_io import parse_gmt
-    doc, diagnostics = parse_gmt(_read(path))
+    doc, diagnostics = parse_gmt(text)
     for warning in diagnostics.warnings:
         print(f"{path}:{warning.line}:{warning.column}: {warning.message}", file=sys.stderr)
     return doc
+
+
+def _load_document(path: str) -> GmtDocument:
+    return _load(path, lambda text: _parse_document(path, text))
 
 
 def cmd_validate(args: SimpleNamespace) -> int:
     from .model import ValidationReport, _validate
     from .registry import _check_feature, default_registry, load_registry
     doc = _load_document(args.file)
-    reg = load_registry(_read(args.registry)) if args.registry is not None else default_registry()
+    reg = _load(args.registry, load_registry) if args.registry is not None else default_registry()
     structure, categories = _validate(doc, True, lambda feat: _check_feature(feat, reg))
     report = ValidationReport(tuple(structure + categories))
     if report.findings:
@@ -99,14 +97,11 @@ def cmd_convert(args: SimpleNamespace) -> int:
     from .agraph import (
         DEFAULT_TYPE_MAP, LANDMARK_DESC_TYPE, ag_to_gmt, gmt_to_ag, load_type_map, parse_ag, serialize_ag)
     from .xml_io import serialize_gmt
-    try:
-        type_map = load_type_map(_read(args.map)) if args.map else DEFAULT_TYPE_MAP
-    except (OSError, BridgeError) as exc:
-        raise _InputError(f"mapping table: {exc}") from None
+    type_map = _load(args.map, load_type_map) if args.map else DEFAULT_TYPE_MAP
     if args.source_format == "ag":
         if len(args.inputs) != 1:
             raise _InputError("ag -> gmt takes exactly one input file")
-        docs = ag_to_gmt(parse_ag(_read(args.inputs[0])), type_map)
+        docs = ag_to_gmt(_load(args.inputs[0], parse_ag), type_map)
         # Every name is checked and every document serialized before a file is written, so a refusal writes nothing.
         names = ["landmarks.xml" if doc.doc_type == LANDMARK_DESC_TYPE else f"{doc.doc_type}.xml" for doc in docs]
         out_dir = Path(args.output)
@@ -141,12 +136,9 @@ def cmd_resolve(args: SimpleNamespace) -> int:
     from .anchoring import build_landmark_table, load_token_index, resolve_seg
     from .model import SegmentRef, iter_items
     doc = _load_document(args.file)
-    tokens = load_token_index(_read(args.tokens)) if args.tokens else None
-    landmark_doc = _load_document(args.landmarks) if args.landmarks else None
-    try:
-        landmarks = build_landmark_table(landmark_doc) if landmark_doc is not None else None
-    except AnchorError as exc:
-        raise _InputError(str(exc)) from None
+    tokens = _load(args.tokens, load_token_index) if args.tokens else None
+    landmarks = (_load(args.landmarks, lambda text: build_landmark_table(_parse_document(args.landmarks, text)))
+                 if args.landmarks else None)
     failed = False
     for path, node in doc.walk():
         for item in iter_items(node):
@@ -262,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--from and --to must name different formats")
     try:
         return args.func(args)
-    except (OSError, GmtParseError, AgParseError, RegistryError, TokenIndexError, _InputError) as exc:
+    except (OSError, _InputError) as exc:
         _err(str(exc))
         return FAILURE
     except (GmtError, ValueError) as exc:

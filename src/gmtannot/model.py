@@ -447,8 +447,10 @@ def find_node(doc: GmtDocument, node_id: str) -> Optional[StructNode]:
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """``(number, line)`` for each line of a line format that is neither blank nor a ``#`` comment."""
-    return ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.lstrip()[:1] not in ("", "#"))
+    """``(number, line)`` for each line of a line format, after one leading byte order mark, that is neither blank
+    nor a ``#`` comment."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    return ((n, line) for n, line in enumerate(lines, start=1) if line.lstrip()[:1] not in ("", "#"))
 
 
 def _decimal(text: str) -> Optional[Decimal]:

@@ -265,6 +265,8 @@ ARC_0_1 = SegmentRef(LandmarkEndpoints("0", "1"))
     "call, error, message, code",
     [
         (lambda: parse_ag("<graph/>"), AgParseError, "document element must be <annotation>, got <graph>", None),
+        (lambda: parse_ag("<annotation><arc></annotation>"), AgParseError,
+         "malformed XML: mismatched tag (line 1, column 20)", None),
         (lambda: parse_ag('<annotation><arc><source offset="0"/><label/><target id="1" offset="5"/></arc></annotation>'),
          AgParseError, "arc 1: <source> needs both id and offset", None),
         (lambda: parse_ag('<annotation><arc><source id="0" offset="0"/><label/><target id="1"/></arc></annotation>'),
@@ -281,8 +283,8 @@ ARC_0_1 = SegmentRef(LandmarkEndpoints("0", "1"))
         (lambda: gmt_to_ag(LANDMARKS_01, [phone_layer(Feature(cat="phone", target="n1"))]), BridgeError,
          "node of type 'phone' in 'phoneticAnnot' has no landmark anchor", "MISSING_ANCHOR"),
     ],
-    ids=["document-element", "endpoint-without-id", "endpoint-without-offset", "foreign-element", "missing-anchor",
-         "unsupported-feature", "first-unsupported-feature", "missing-anchor-before-unsupported-feature"],
+    ids=["document-element", "malformed-xml", "endpoint-without-id", "endpoint-without-offset", "foreign-element",
+         "missing-anchor", "unsupported-feature", "first-unsupported-feature", "missing-anchor-before-unsupported-feature"],
 )
 def test_agraph_error_paths(call, error, message, code):
     with pytest.raises(error) as exc:

@@ -718,7 +718,7 @@ def test_every_command_keeps_the_exit_code_contract_on_hostile_input(tmp_path, c
     assert code in (0, 1, 2)
     lines = capsys.readouterr().err.splitlines()
     if code == 2 or code == 1 and argv[0] in ("merge", "convert"):  # validate, resolve and diff exit 1 on findings
-        assert lines and lines[-1].startswith("gmtannot: ")
+        assert lines and lines[-1].startswith(f"gmtannot: {path}" if code == 2 else "gmtannot: ")
         reader_warning = re.compile(re.escape(str(path)) + r":\d+:\d+: ")
         assert all(reader_warning.match(line) for line in lines[:-1])
 
@@ -736,6 +736,8 @@ PHASE_FILES = {
     "no_position.xml": '<struct type="landmarkDesc"><struct type="landmark" id="0"/></struct>',
     "unmapped.xml": '<struct type="otherAnnot"><struct type="x"/></struct>',
     "bad.tokens": "w1\t0\n",
+    "bad.xml": '<struct type="MSAnnot"><feat></struct>',
+    "bad_registry.txt": "pos kind=open\nlemma\n",
     "id_child.xml": '<struct type="annot"><struct type="W-level" id="n1"><seg target="#w1"/></struct></struct>',
     "regular": "",
 }
@@ -748,12 +750,14 @@ PHONES = str(FIXTURES / "event_anchored_phones.xml")
     [
         (["convert", "--from", "ag", "--to", "gmt", "{d}/q_arc.xml", "-o", "{d}/out"], 1, ""),
         (["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{d}/out", "--map", "{d}/bad_map.tsv"],
-         2, "mapping table: "),
-        (["resolve", PHONES, "--landmarks", "{d}/no_position.xml"], 2, ""),
+         2, "{d}/bad_map.tsv: line 1: "),
+        (["resolve", PHONES, "--landmarks", "{d}/no_position.xml"], 2, "{d}/no_position.xml: landmark '0' "),
         (["convert", "--from", "gmt", "--to", "ag", "{d}/no_position.xml", "-o", "{d}/out.xml"], 1, ""),
         (["convert", "--from", "gmt", "--to", "ag", LANDMARKS, "{d}/unmapped.xml", "-o", "{d}/out.xml"],
          1, ""),
-        (["resolve", SENTENCE_XML, "--tokens", "{d}/bad.tokens"], 2, ""),
+        (["resolve", SENTENCE_XML, "--tokens", "{d}/bad.tokens"], 2, "{d}/bad.tokens: line 1: "),
+        (["merge", SENTENCE_XML, "{d}/bad.xml", "-o", "{d}/out.xml"], 2, "{d}/bad.xml: mismatched tag "),
+        (["validate", SENTENCE_XML, "--registry", "{d}/bad_registry.txt"], 2, "{d}/bad_registry.txt: line 2: "),
         # keep-all repeats the child's id, so the writer refuses the merge.
         (["merge", "{d}/id_child.xml", "{d}/id_child.xml", "-o", "{d}/out.xml"], 1, "invalid document: DUPLICATE_ID"),
         (["convert", "--from", "ag", "--to", "gmt", AG_XML, AG_XML, "-o", "{d}/out"], 2, ""),
@@ -769,6 +773,8 @@ PHONES = str(FIXTURES / "event_anchored_phones.xml")
         "convert-landmark-without-position",
         "unmapped-layer-doc-type",
         "malformed-token-index",
+        "merge-with-a-malformed-second-layer",
+        "validate-with-a-malformed-registry",
         "merge-refused-by-writer",
         "two-graphs-for-ag-to-gmt",
         "merge-output-below-a-file",
@@ -784,7 +790,7 @@ def test_phase_dependent_exit_codes(tmp_path, capsys, argv, code, prefix):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("gmtannot: " + prefix)
+    assert lines[0].startswith("gmtannot: " + prefix.format(d=tmp_path))
 
 
 def test_merge_prints_its_warnings_to_stderr(tmp_path, capsys):

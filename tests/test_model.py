@@ -585,6 +585,11 @@ def test_line_formats_skip_blank_and_comment_lines_alike(load, good, bad, error,
     # Error line numbers count the skipped lines.
     with pytest.raises(error, match="^line 5: "):
         load(end.join(skipped + [bad, good]) + end)
+    # One leading byte order mark is not part of the first line, whether that line holds data or a comment.
+    assert view(load("\ufeff" + good + end)) == view(load(good + "\n"))
+    assert view(load("\ufeff" + end.join(skipped[2:] + [good]) + end)) == view(load(good + "\n"))
+    with pytest.raises(error, match="^line 5: "):
+        load("\ufeff" + end.join(skipped + [bad]) + end)
 
 
 # ---------------------------------------------------------------------------
