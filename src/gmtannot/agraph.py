@@ -80,12 +80,12 @@ def load_type_map(text: str) -> dict[str, tuple[str, str]]:
     for lineno, line in _data_lines(text):
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 3 or not all(parts):
-            raise BridgeError(f"line {lineno}: expected 'att1Value<TAB>docType<TAB>payloadCat'")
+            raise BridgeError("expected 'att1Value<TAB>docType<TAB>payloadCat'", line=lineno)
         att1, doc_type, payload = parts
         if att1 in table:
-            raise BridgeError(f"line {lineno}: duplicate mapping for {att1!r}")
+            raise BridgeError(f"duplicate mapping for {att1!r}", line=lineno)
         if doc_type in doc_types:
-            raise BridgeError(f"line {lineno}: duplicate document type {doc_type!r}")
+            raise BridgeError(f"duplicate document type {doc_type!r}", line=lineno)
         doc_types.add(doc_type)
         table[att1] = (doc_type, payload)
     return table
@@ -109,7 +109,7 @@ def parse_ag(text: str) -> AnnotationGraph:
     except ET.ParseError as exc:
         line, column = exc.position
         message = exc.msg.removesuffix(f": line {line}, column {column}")  # expat's 0-based column
-        raise AgParseError(f"malformed XML: {message} (line {line}, column {column + 1})") from None
+        raise AgParseError(f"malformed XML: {message}", line, column + 1) from None
     if root.tag != "annotation":
         raise AgParseError(f"document element must be <annotation>, got <{root.tag}>")
     nodes: dict[str, int] = {}

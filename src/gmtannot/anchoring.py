@@ -90,13 +90,13 @@ def load_token_index(text: str) -> TokenIndex:
     for lineno, line in _data_lines(text):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise TokenIndexError(f"line {lineno}: expected 'tokenId<TAB>start<TAB>end'")
+            raise TokenIndexError("expected 'tokenId<TAB>start<TAB>end'", lineno)
         token_id, start_raw, end_raw = (p.strip() for p in parts)
         start, end = _integer(start_raw), _integer(end_raw)
         if start is None or end is None:
-            raise TokenIndexError(f"line {lineno}: offsets must be integers")
+            raise TokenIndexError("offsets must be integers", lineno)
         if not token_id:
-            raise TokenIndexError(f"line {lineno}: empty token id")
+            raise TokenIndexError("empty token id", lineno)
         entries.append(Token(token_id, start, end))
     return TokenIndex(tuple(entries))
 

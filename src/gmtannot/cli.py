@@ -3,12 +3,12 @@
 Standard output carries data, standard error diagnostics.  Exit codes:
 0 success; 1 findings, or any other gmtannot error or ``ValueError``
 raised while a command works on its inputs; 2 an ``OSError``, an input
-file that its reader refuses (:func:`_load` names the file), or an input
-unusable before any work begins (more than one graph for ``ag -> gmt``,
-or output file names for it that collide, are not plain names or are
-held by directories).  :func:`main` alone turns an error into an exit
-code and one ``gmtannot: ...`` line; any other exception is a bug and
-keeps its traceback.
+file that cannot be read or that its reader refuses (:func:`_load` names
+the file first), or an input unusable before any work begins (more than
+one graph for ``ag -> gmt``, or output file names for it that collide,
+are not plain names or are held by directories).  :func:`main` alone
+turns an error into an exit code and one ``gmtannot: ...`` line; any
+other exception is a bug and keeps its traceback.
 
 Process policy: :func:`run`, the entry point of the ``gmtannot`` script and
 of ``python -m gmtannot``, owns its process, which runs one command on
@@ -59,11 +59,16 @@ def _err(message: str) -> None:
 
 def _load(path: str, parse: Callable[[str], T]) -> T:
     """What the format's reader ``parse`` makes of the file's text.  Every input file goes through here, so bytes
-    that are not UTF-8 are an OSError and a reader's gmtannot error is an input error, both naming the file."""
+    that cannot be read or are not UTF-8 are an OSError and a reader's gmtannot error is an input error, all naming
+    the file.  An OSError of the parse keeps its text: it comes from printing the reader's warnings."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+    try:
+        return parse(text)
     except GmtError as exc:
         raise _InputError(f"{path}: {exc}") from None
 

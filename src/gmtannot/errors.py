@@ -4,18 +4,18 @@ from __future__ import annotations
 
 
 class GmtError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class GmtParseError(GmtError):
-    """GMT XML could not be read: malformed XML or a grammar violation."""
+    """Base class for every error raised by this package; ``line`` and ``column`` place it in its input, if known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
         if line is not None:
-            message = f"{message} (line {line}, column {column})"
+            message = f"line {line}: {message}" if column is None else f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class GmtParseError(GmtError):
+    """GMT XML could not be read: malformed XML or a grammar violation."""
 
 
 class GmtSerializeError(GmtError):
@@ -29,9 +29,9 @@ class AgParseError(GmtError):
 class BridgeError(GmtError):
     """An annotation graph or layer document cannot be converted."""
 
-    def __init__(self, message: str, code: str = "BRIDGE_ERROR"):
+    def __init__(self, message: str, code: str = "BRIDGE_ERROR", line: int | None = None):
         self.code = code
-        super().__init__(message)
+        super().__init__(message, line)
 
 
 class AnchorError(GmtError):
@@ -60,12 +60,6 @@ class TokenIndexError(GmtError):
 
 class RegistryError(GmtError):
     """A data category registry file is malformed or a lookup failed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class MergeError(GmtError):

@@ -34,6 +34,7 @@ from .model import (
     Relation,
     SegmentRef,
     StructNode,
+    _flatten,
     _set,
     iter_items,
 )
@@ -136,81 +137,70 @@ def _scan(nodes: list[StructNode]) -> list[Optional[str]]:
     return done
 
 
+_FINISH = object()  # on _fingerprint's stack, over a frame: a document can hold any value, but never this one
+
+
 def _fingerprint(root: StructNode, table: dict[tuple, int]) -> dict[str, list[tuple]]:
     """The ``(fingerprint, node)`` of each node with segments at or below ``root``, by anchor key, from one
-    walk with an explicit stack instead of recursion, which covers bundles and nested features.
+    walk with an explicit stack instead of recursion.
 
-    A fingerprint is the ``table``'s id of ``(type, sorted item ids, sorted child ids)``, a child with segments
-    having id -1.  Items, bundles and features get ids from tuples tagged by their kind, so equal ids mean equal
-    content up to the order of items, bundles, children and nested features.  Segments get no id: only nodes
-    under one key, which spells their segments, are compared.  One loop over a node's items interns their ids;
-    a *holder* (a nested feature or alternative set) with deep members finishes after them, before its node.
+    Each element (a node, nested feature, alternative set or bundle) interns its leaf members' ids as it opens
+    and finishes after its composite members and children.  An id is the ``table``'s id of a tuple tagged by the
+    member's kind, the same wherever it sits, and a bracket's members count as its owner's.  A node's fingerprint
+    is the id of ``(type, sorted member ids, sorted child ids)``, so equal ids mean equal content up to order.  A
+    node with segments has id -1 where it sits: only nodes under one key, which spells their segments, compare.
     """
     intern = table.setdefault  # intern(t, len(table)) is t's id
-
-    def inner(holder: Feature | AltSet) -> list:  # a nested feature's or alternative set's deep members
-        members = holder.nested if type(holder) is Feature else [m for bundle in holder.alternatives for m in bundle]
-        return [m for m in members if type(m) is StructNode or m.target is None and m.nested is not None]
-
-    def member_id(member: Feature | StructNode) -> int:  # a deep member's id comes from `below`
-        if type(member) is Feature:
-            if member.target is not None:
-                return intern(("feat", member.cat, "@", member.target), len(table))
-            if member.nested is None:
-                return intern(("feat", member.cat, "", member.text or ""), len(table))
-        return next(below)
-
-    def holder_id(holder: Feature | AltSet) -> int:  # kept out of member_id: a closure that calls itself is a cycle
-        if type(holder) is Feature:
-            return intern(("feat", holder.cat, "nested", *sorted(map(member_id, holder.nested))), len(table))
-        bundles = (intern(("bundle", *sorted(map(member_id, b))), len(table)) for b in holder.alternatives)
-        return intern(("alt", *sorted(bundles)), len(table))
-
     found: dict[str, list[tuple]] = {}
-    done: list[int] = []  # the id in its owner of each finished element, until its owner finishes
-    stack: list = [root]  # elements to open, and (element, ids, segments, start of results) to finish
+    done: list[int] = []  # the id of each finished composite member and child, until its owner finishes
+    stack: list = [root]  # members to open, and (element, head, ids, segments, start of results) under _FINISH
     while stack:
         element = stack.pop()
-        if type(element) is tuple:
-            element, ids, segs, start = element
+        if element is _FINISH:
+            element, head, ids, segs, start = stack.pop()
             taken = done[start:]
             del done[start:]
-            below = iter(taken)
-        elif type(element) is not StructNode:  # a holder with deep members
-            stack.append((element, None, None, len(done)))
-            stack += reversed(inner(element))
-            continue
         else:
-            ids, segs, holders = [], [], []
-            for item in iter_items(element):
-                cls = type(item)
-                if cls is Feature and item.target is None and item.nested is None:  # member_id(item), inline
-                    ids.append(intern(("feat", item.cat, "", item.text or ""), len(table)))
+            kind = type(element)
+            segs, children = None, ()  # a node's own segments make its key; a holder's are members
+            if kind is StructNode:
+                head, members, segs, children = element.type or "", iter_items(element), [], element.children
+            elif kind is AltSet:
+                head, members = ("alt",), element.alternatives
+            elif kind is Feature and element.target is None and element.nested is not None:
+                head, members = ("feat", element.cat, "nested"), _flatten(element.nested)
+            else:  # a bundle, or a lone item standing among a node's children
+                head, members = ("bundle",), _flatten(element if kind is tuple else (element,))
+            ids, deep = [], []
+            for member in members:
+                cls = type(member)
+                if cls is Feature and member.target is None and member.nested is None:
+                    ids.append(intern(("feat", member.cat, "", member.text or ""), len(table)))
+                elif cls is SegmentRef and segs is not None:
+                    segs.append(member)
                 elif cls is SegmentRef:
-                    segs.append(item)
+                    ids.append(intern(("seg", seg_key(member)), len(table)))
                 elif cls is Relation:
-                    ids.append(intern(("rel", item.rel_type or "", item.target), len(table)))
-                elif cls is AltSet or cls is Feature and item.target is None:
-                    if inner(item):
-                        holders.append(item)
-                    else:
-                        ids.append(holder_id(item))
-                elif cls is Feature:
-                    ids.append(member_id(item))
-            if holders or element.children:
-                stack.append((element, ids, segs, len(done)))
-                stack += reversed(element.children)
-                stack += reversed(holders)  # the holders finish first, in order, then the children
+                    ids.append(intern(("rel", member.rel_type or "", member.target), len(table)))
+                elif cls is Feature and member.target is not None:
+                    ids.append(intern(("feat", member.cat, "@", member.target), len(table)))
+                elif cls is Feature or cls is StructNode or cls is AltSet or cls is tuple:
+                    deep.append(member)  # its id comes from done
+            if deep or children:
+                stack += ((element, head, ids, segs, len(done)), _FINISH)
+                stack += reversed(children)
+                stack += reversed(deep)  # the composite members finish first, in order, then the children
                 continue
-            taken = ()
-        if type(element) is not StructNode:
-            done.append(holder_id(element))
+            taken = ()  # a node with no composite member and no child finishes as it opens
+        if segs is None:
+            ids += taken
+            done.append(intern((*head, *sorted(ids)), len(table)))
             continue
-        children = ()
-        if taken:  # the holders' ids, then the children's
+        kids = ()
+        if taken:  # the composite members' ids, then the children's
             ids += taken[:len(taken) - len(element.children)]
-            children = tuple(sorted(taken[len(taken) - len(element.children):]))
-        fingerprint = intern((element.type or "", tuple(sorted(ids)), children), len(table))
+            kids = tuple(sorted(taken[len(taken) - len(element.children):]))
+        fingerprint = intern((head, tuple(sorted(ids)), kids), len(table))
         if segs:
             found.setdefault(_key(segs), []).append((fingerprint, element))
         done.append(-1 if segs else fingerprint)

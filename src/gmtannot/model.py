@@ -243,9 +243,15 @@ def _nodes(doc: GmtDocument) -> Iterator[StructNode]:
 
 def iter_items(node: StructNode) -> tuple[NodeItem, ...]:
     """The node's items, each bracket followed by its members: ``node.items`` itself when it has no bracket."""
-    if Bracket not in map(type, node.items):
-        return node.items
-    items, stack = [], list(reversed(node.items))
+    # Tested here as well: a call per node would cost diff, which asks once per node, about 2%.
+    return _flatten(node.items) if Bracket in map(type, node.items) else node.items
+
+
+def _flatten(members: tuple) -> tuple:
+    """The members, each bracket followed by its members: ``members`` itself when there is no bracket."""
+    if Bracket not in map(type, members):
+        return members
+    items, stack = [], list(reversed(members))
     while stack:
         items.append(stack.pop())
         stack.extend(reversed(items[-1].members) if isinstance(items[-1], Bracket) else ())

@@ -765,6 +765,11 @@ PHONES = str(FIXTURES / "event_anchored_phones.xml")
         (["convert", "--from", "ag", "--to", "gmt", AG_XML, "-o", "{d}/regular/out"], 2, ""),
         (["convert", "--from", "gmt", "--to", "ag", LANDMARKS, PHONES, "-o", "{d}/regular/out.xml"],
          2, ""),
+        # An input that cannot be read is named first, like every other refusal of an input.
+        (["validate", "{d}/missing.xml"], 2, "{d}/missing.xml: No such file or directory"),
+        (["resolve", SENTENCE_XML, "--tokens", "{d}/missing.tokens"],
+         2, "{d}/missing.tokens: No such file or directory"),
+        (["diff", SENTENCE_XML, "{d}"], 2, "{d}: Is a directory"),
     ],
     ids=[
         "unknown-arc-type",
@@ -780,6 +785,9 @@ PHONES = str(FIXTURES / "event_anchored_phones.xml")
         "merge-output-below-a-file",
         "ag-to-gmt-output-below-a-file",
         "gmt-to-ag-output-below-a-file",
+        "missing-gmt",
+        "missing-token-index",
+        "directory-as-input",
     ],
 )
 def test_phase_dependent_exit_codes(tmp_path, capsys, argv, code, prefix):

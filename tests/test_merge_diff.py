@@ -40,6 +40,7 @@ from gmtannot import (
     merge,
     parse_gmt,
     serialize_gmt,
+    validate_structure,
 )
 from gmtannot.merge import POLICIES, DiffEntry, _fingerprint, _scan, seg_key
 from gmtannot.model import iter_items, replace
@@ -502,31 +503,37 @@ def _reference_statuses(left: GmtDocument, right: GmtDocument) -> dict[str, str]
     def bag(values) -> frozenset:
         return frozenset(Counter(values).items())
 
-    def feature(feat: Feature) -> tuple:
-        if feat.target is not None:
-            return ("feat", feat.cat, "@", feat.target)
-        if feat.nested is not None:
-            return ("feat", feat.cat, bag(map(feature, feat.nested)))
-        return ("feat", feat.cat, feat.text or "")
+    def flat(members):  # each bracket followed by its members, as iter_items lists a node's items
+        for m in members:
+            yield m
+            if isinstance(m, Bracket):
+                yield from flat(m.members)
 
-    def member(node: StructNode) -> tuple:
-        return ("anchored",) if anchored(node) else fingerprint(node)
+    def member(m) -> Optional[tuple]:
+        """A member's reading, the same in a node's items, a bundle or a nested feature; None for a bracket."""
+        if isinstance(m, StructNode):
+            return ("anchored",) if anchored(m) else fingerprint(m)
+        if isinstance(m, Feature):
+            if m.target is not None:
+                return ("feat", m.cat, "@", m.target)
+            if m.nested is not None:
+                return ("feat", m.cat, members(m.nested))
+            return ("feat", m.cat, m.text or "")
+        if isinstance(m, AltSet):
+            return ("alt", bag(members(b) for b in m.alternatives))
+        if isinstance(m, Relation):
+            return ("rel", m.rel_type or "", m.target)
+        if isinstance(m, SegmentRef):
+            return ("seg", seg_key(m))
+        return None
+
+    def members(ms) -> frozenset:
+        return bag(reading for reading in map(member, flat(ms)) if reading is not None)
 
     def fingerprint(node: StructNode) -> tuple:
-        items = []
-        for item in iter_items(node):
-            if isinstance(item, Feature):
-                items.append(feature(item))
-            elif isinstance(item, AltSet):
-                bundles = (
-                    bag(feature(m) if isinstance(m, Feature) else member(m) for m in b) for b in item.alternatives
-                )
-                items.append(("alt", bag(bundles)))
-            elif isinstance(item, Relation):
-                items.append(("rel", item.rel_type or "", item.target))
-            elif isinstance(item, SegmentRef):
-                items.append(("seg", seg_key(item)))
-        return (node.type or "", bag(items), bag(map(member, node.children)))
+        # An item standing among the children counts as a bundle of itself.
+        children = (member(c) if isinstance(c, StructNode) else ("lone", members((c,))) for c in node.children)
+        return (node.type or "", members(node.items), bag(children))
 
     def anchored(node: StructNode) -> bool:
         return any(isinstance(item, SegmentRef) for item in iter_items(node))
@@ -555,21 +562,20 @@ def _reversed_node(node: StructNode) -> StructNode:
     """The node with its items, bundles, bracket members, nested features and children reversed at every level."""
 
     def member(m):
-        return _reversed_node(m) if isinstance(m, StructNode) else item(m)
-
-    def item(it):
-        if isinstance(it, AltSet):
-            return AltSet(tuple(tuple(map(member, reversed(b))) for b in reversed(it.alternatives)))
-        if isinstance(it, Bracket):
-            return Bracket(tuple(map(item, reversed(it.members))))
-        if isinstance(it, Feature) and it.nested is not None:
-            return replace(it, nested=tuple(map(item, reversed(it.nested))))
-        return it
+        if isinstance(m, StructNode):
+            return _reversed_node(m)
+        if isinstance(m, AltSet):
+            return AltSet(tuple(tuple(map(member, reversed(b))) for b in reversed(m.alternatives)))
+        if isinstance(m, Bracket):
+            return Bracket(tuple(map(member, reversed(m.members))))
+        if isinstance(m, Feature) and m.nested is not None:
+            return replace(m, nested=tuple(map(member, reversed(m.nested))))
+        return m
 
     return replace(
         node,
-        items=tuple(map(item, reversed(node.items))),
-        children=tuple(map(_reversed_node, reversed(node.children))),
+        items=tuple(map(member, reversed(node.items))),
+        children=tuple(map(member, reversed(node.children))),
     )
 
 
@@ -623,6 +629,121 @@ def test_diff_is_exact_and_blind_to_order():
         for left, right in ((doc, other), (doc, edited), (swapped, edited), (other, swapped)):
             assert {e.anchor: e.status for e in diff(left, right).entries} == _reference_statuses(left, right)
     assert edits_seen[True] >= 150 and edits_seen[False] >= 10
+
+
+def _with_members_in_holders(
+    node: StructNode, rng: random.Random, edit: int, seen: list, anchor: Optional[str] = None
+) -> StructNode:
+    """The node with a relation, segment, bracket or node added to some bundles and nested features at every level,
+    and with a nested feature holding one such member added to some nodes' items.
+
+    Each added member is drawn with an edited twin, and the ``edit``-th one is replaced by its twin.  ``seen``
+    counts added members in its first slot and receives, in its second, the key of the twin's nearest anchored
+    node (the twin itself when it is one) and, in its third, the twin's class.
+    """
+    if _has_segments(node):
+        anchor = anchor_key(node)
+
+    def added():
+        seen[0] += 1
+        word, text, roll = f"w{rng.randint(1, 8)}", rng.choice(["a", "b"]), rng.random()
+        if roll < 0.25:
+            plain, twin = Relation(f"n{rng.randint(1, 9)}", text), Relation("n0", text)
+        elif roll < 0.5:
+            plain, twin = SegmentRef(IdTargets((word,))), SegmentRef(IdTargets((word + "~",)))
+        elif roll < 0.75:
+            plain, twin = (Bracket((Feature("note", text=t), SegmentRef(IdTargets((word,))))) for t in (text, "~"))
+        else:
+            segs = (SegmentRef(IdTargets((word,))),) if rng.random() < 0.5 else ()
+            plain, twin = (StructNode(type="token", items=segs + (Feature("lemma", text=t),)) for t in (text, "~"))
+        if seen[0] != edit:
+            return plain
+        seen[1] = anchor_key(twin) if type(twin) is StructNode and _has_segments(twin) else anchor
+        seen[2] = type(twin).__name__
+        return twin
+
+    def grown(members: tuple) -> tuple:
+        members = tuple(_with_members_in_holders(m, rng, edit, seen, anchor) if type(m) is StructNode else item(m)
+                        for m in members)
+        return members + (added(),) if rng.random() < 0.5 else members
+
+    def item(it):
+        if isinstance(it, AltSet):
+            return AltSet(tuple(map(grown, it.alternatives)))
+        if isinstance(it, Feature) and it.target is None and it.nested is not None:
+            return replace(it, nested=grown(it.nested))
+        return it
+
+    items = tuple(map(item, node.items))
+    if rng.random() < 0.4:
+        items += (Feature("fs", nested=(Feature("lemma", text="x"), added())),)
+    children = tuple(_with_members_in_holders(child, rng, edit, seen, anchor) for child in node.children)
+    return replace(node, items=items, children=children)
+
+
+def test_diff_is_exact_on_relations_segments_brackets_and_nodes_in_bundles_and_nested_features():
+    rng = random.Random(1006)
+    edits_seen: Counter = Counter()
+    for k in range(200):
+        make = random_document if k % 2 else random_mergeable_document
+        base, other_base, seed = make(rng), make(rng), rng.random()
+        count: list = [0, None, None]
+        doc = GmtDocument(_with_members_in_holders(base.root, random.Random(seed), 0, count))
+        other = GmtDocument(_with_members_in_holders(other_base.root, random.Random(seed + 1), 0, [0, None, None]))
+        assert validate_structure(doc).ok and validate_structure(other).ok
+        swapped = GmtDocument(_reversed_node(doc.root))
+        assert diff(doc, swapped).all_equal
+        edit: list = [0, None, None]
+        edited = GmtDocument(_with_members_in_holders(base.root, random.Random(seed), rng.randint(0, count[0]), edit))
+        changed = [(e.status, e.anchor) for e in diff(doc, edited).entries if e.status != BOTH_EQUAL]
+        assert changed == ([] if edit[1] is None else [(BOTH_DIFFER, edit[1])])
+        edits_seen[edit[2], edit[1] is not None] += 1
+        for left, right in ((doc, other), (doc, edited), (swapped, edited), (other, swapped)):
+            assert {e.anchor: e.status for e in diff(left, right).entries} == _reference_statuses(left, right)
+    for kind in ("Relation", "SegmentRef", "Bracket", "StructNode"):
+        assert edits_seen[kind, True] >= 10 and edits_seen[kind, False] >= 1, edits_seen
+
+
+#: One member of each kind, with a twin of other content.
+_MEMBER_TWINS = {
+    "text-feature": (Feature("pos", text="N"), Feature("pos", text="V")),
+    "target-feature": (Feature("pos", target="x1"), Feature("pos", target="x2")),
+    "nested-feature": tuple(Feature("fs", nested=(Feature("a", text=t),)) for t in ("b", "c")),
+    "alt-set": (AltSet(((Feature("a", text="1"),), (Feature("a", text="2"),))),
+                AltSet(((Feature("a", text="1"),), (Feature("a", text="3"),)))),
+    "relation": (Relation("n9", "dep"), Relation("n8", "dep")),
+    "segment": (SegmentRef(IdTargets(("w7",))), SegmentRef(IdTargets(("w8",)))),
+    "bracket": (Bracket((Feature("c", text="d"), Relation("n3"))), Bracket((Feature("c", text="e"), Relation("n3")))),
+    "node": tuple(StructNode(type="t", items=(Feature("q", text=t),)) for t in ("r", "s")),
+    "anchored-node": tuple(StructNode(type="t", items=(SegmentRef(IdTargets(("w5",))), Feature("q", text=t)))
+                           for t in ("r", "s")),
+}
+
+
+def _placed(place: str, member) -> GmtDocument:
+    seg = SegmentRef(IdTargets(("w1",)))
+    if place == "items":
+        node = StructNode(type="w", items=(seg, member))
+    elif place == "children":
+        node = StructNode(type="w", items=(seg,), children=(member,))
+    elif place == "bundle":
+        node = StructNode(type="w", items=(seg, AltSet(((member,), (Feature("z", text="z"),)))))
+    elif place == "nested-feature":
+        node = StructNode(type="w", items=(seg, Feature("fs", nested=(member,))))
+    else:
+        node = StructNode(type="w", items=(seg, Bracket((member,))))
+    return container(node)
+
+
+@pytest.mark.parametrize("place", ["items", "children", "bundle", "nested-feature", "bracket"])
+def test_diff_reports_exactly_on_every_member_kind_in_every_place_the_validator_accepts(place):
+    for kind, (member, twin) in _MEMBER_TWINS.items():
+        doc, edited = _placed(place, member), _placed(place, twin)
+        assert validate_structure(doc).ok and validate_structure(edited).ok, kind
+        assert diff(doc, GmtDocument(_reversed_node(doc.root))).all_equal, kind
+        report = diff(doc, edited)
+        assert not report.all_equal, kind
+        assert {e.anchor: e.status for e in report.entries} == _reference_statuses(doc, edited), kind
 
 
 def test_diff_and_merge_scan_each_node_once(monkeypatch):

@@ -123,3 +123,20 @@ def test_a_parse_warning_is_a_plain_tuple_with_named_fields():
         assert type(other) is ParseWarning and other == warning
     with pytest.raises(AttributeError):
         warning.line = 3  # type: ignore[misc]
+
+
+@pytest.mark.parametrize(
+    "read, text, place, message",
+    [
+        ("load_token_index", "w1\t0\n", (1, None), "line 1: expected 'tokenId<TAB>start<TAB>end'"),
+        ("load_type_map", "# map\nP\tphoneticAnnot\n", (2, None),
+         "line 2: expected 'att1Value<TAB>docType<TAB>payloadCat'"),
+        ("load_registry", "pos kind=closed\n", (1, None), "line 1: unknown kind 'closed'"),
+        ("parse_ag", "<annotation>", (1, 13), "malformed XML: no element found (line 1, column 13)"),
+        ("parse_gmt", "<x", (1, 1), "unclosed token (line 1, column 1)"),
+    ],
+)
+def test_a_refused_input_text_carries_its_place_and_spells_it_one_way(read, text, place, message):
+    with pytest.raises(gmtannot.GmtError) as exc:
+        getattr(gmtannot, read)(text)
+    assert ((exc.value.line, exc.value.column), str(exc.value)) == (place, message)
